@@ -6,7 +6,9 @@
 
 Run from the root of a checkout. Configures and builds perfbench/ (the
 simulator library from src/ plus the perfbench binary) in a Release build
-under $CARGO_TARGET_DIR (default .bench_build), then runs the binary with
+under $CARGO_TARGET_DIR (default .bench_build), in a directory named after
+the checkout's path, so checkouts that share one absolute $CARGO_TARGET_DIR
+never share a build tree. Then runs the binary with
 the given flags. The binary prints its report and, as the last line of
 stdout, one JSON object with the keys correct, attempted, failed and
 metrics. Bad flags exit with 2; a failed build exits with 1 and prints no
@@ -45,14 +47,19 @@ def source_stamp():
     return "git=%s src_sha256=%s" % (commit, digest.hexdigest()[:16])
 
 
+def build_dir(build_root):
+    """This checkout's build tree under `build_root`."""
+    tag = hashlib.sha256(ROOT.encode()).hexdigest()[:12]
+    return os.path.join(build_root, "perfbench-" + tag)
+
+
 def build(build_dir):
-    """Configures once, then builds incrementally (a no-op when current)."""
+    """Configures (cheap when current, and cmake refuses a tree configured
+    from other sources), then builds incrementally."""
     jobs = str(min(4, os.cpu_count() or 1))
-    steps = []
-    if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
-        steps.append(["cmake", "-S", os.path.join(ROOT, "perfbench"), "-B",
-                      build_dir, "-DCMAKE_BUILD_TYPE=Release"])
-    steps.append(["cmake", "--build", build_dir, "-j", jobs])
+    steps = [["cmake", "-S", os.path.join(ROOT, "perfbench"), "-B", build_dir,
+              "-DCMAKE_BUILD_TYPE=Release"],
+             ["cmake", "--build", build_dir, "-j", jobs]]
     for cmd in steps:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True)
@@ -66,10 +73,10 @@ def build(build_dir):
 def main(argv):
     build_root = os.path.join(
         ROOT, os.environ.get("CARGO_TARGET_DIR", ".bench_build"))
-    build_dir = os.path.join(build_root, "perfbench")
-    if not build(build_dir):
+    tree = build_dir(build_root)
+    if not build(tree):
         return 1
-    cmd = [os.path.join(build_dir, "perfbench"),
+    cmd = [os.path.join(tree, "perfbench"),
            "--source-stamp", source_stamp(),
            "--out-dir", os.path.join(build_root, "out"), *argv]
     return subprocess.run(cmd).returncode

@@ -14,9 +14,8 @@
 // checked fuzz seed. A run repeats the workload's whole operation set in
 // passes until --seconds have elapsed; every repetition starts from a
 // cold machine (a fresh simulator, so modelled caches start empty). Host
-// time per operation is the fastest of its untraced repetitions, each run
-// on the least contended CPU; see "Host noise" in perfbench/README.md.
-#include <sched.h>
+// time per operation is the fastest of its untraced repetitions; see
+// "Host noise" in perfbench/README.md.
 #include <sys/resource.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -265,83 +264,6 @@ void add_counts(std::map<std::string, double>& counts,
       static_cast<double>(r.sampling.fast_forwarded);
 }
 
-// ---- host placement ------------------------------------------------------
-
-/// The CPUs this process may run on.
-std::vector<int> allowed_cpus() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  std::vector<int> cpus;
-  if (sched_getaffinity(0, sizeof set, &set) == 0) {
-    for (int c = 0; c < CPU_SETSIZE; ++c) {
-      if (CPU_ISSET(c, &set)) cpus.push_back(c);
-    }
-  }
-  return cpus;
-}
-
-bool pin_to_cpu(int cpu) {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return sched_setaffinity(0, sizeof set, &set) == 0;
-}
-
-/// Host seconds for a fixed throughput-bound integer loop: eight
-/// independent chains, no memory traffic. On a CPU whose physical core
-/// is shared with a busy hardware thread it runs about twice as slow,
-/// and so does the simulator.
-double contention_probe_s() {
-  static volatile std::uint64_t sink = 0;
-  std::uint64_t a = sink | 1, b = 2, c = 3, d = 4, e = 5, f = 6, g = 7,
-                h = 8;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < 20'000; ++i) {
-    a += b ^ i; b ^= c + i; c += d >> 1; d ^= e + 3;
-    e += f ^ 5; f ^= g + 7; g += h >> 2; h ^= a + 11;
-    a = (a << 1) | (a >> 63); c = (c << 3) | (c >> 61);
-    e = (e << 5) | (e >> 59); g = (g << 7) | (g >> 57);
-  }
-  const double s = seconds_since(t0);
-  sink = a + b + c + d + e + f + g + h;
-  return s;
-}
-
-/// Steers each repetition to a CPU whose physical core is free at that
-/// moment. On a shared virtual host another tenant's hardware thread
-/// keeps most cores busy most of the time, flickering on a scale of
-/// milliseconds, and halves the simulator's speed while it does.
-class CpuPicker {
- public:
-  /// Pins the thread to the allowed CPU that runs the contention probe
-  /// fastest. While even that CPU is contended (slower than 1.25x the
-  /// fastest probe seen in this run), probes again, for at most
-  /// kMaxRounds rounds. Call it outside the timed region.
-  void pin_quietest() {
-    constexpr int kMaxRounds = 16;
-    for (int round = 0; round < kMaxRounds; ++round) {
-      int best_cpu = -1;
-      double best_s = std::numeric_limits<double>::infinity();
-      for (int cpu : cpus_) {
-        if (!pin_to_cpu(cpu)) continue;
-        const double s = contention_probe_s();
-        if (s < best_s) {
-          best_s = s;
-          best_cpu = cpu;
-        }
-      }
-      if (best_cpu < 0) return;
-      quiet_s_ = std::min(quiet_s_, best_s);
-      pin_to_cpu(best_cpu);
-      if (best_s <= 1.25 * quiet_s_) return;
-    }
-  }
-
- private:
-  std::vector<int> cpus_ = allowed_cpus();
-  double quiet_s_ = std::numeric_limits<double>::infinity();
-};
-
 // ---- the pass engine -----------------------------------------------------
 
 /// One operation of the workload, across every pass that ran it. Host
@@ -353,6 +275,9 @@ struct Op {
   std::uint64_t instrs = 0;  ///< simulated instructions it is credited
   std::uint64_t cycles = 0;  ///< simulated core-cycles (0 for fuzz seeds)
   std::uint64_t digest = 0;
+  /// Traced fuzz seeds only: a digest over every cell's simulated
+  /// statistics, which check_seed does not expose (0 when not traced).
+  std::uint64_t cells_digest = 0;
   std::string summary;
   bool seen = false;
 };
@@ -377,15 +302,16 @@ struct Bench {
   std::map<std::string, double> counts;  ///< one pass worth of work
   double ipc_ci95_rel = 0.0;             ///< worst sampled cell
   std::vector<std::uint64_t> ff_instrs;  ///< per sampled cell
-  CpuPicker cpu_picker;
   Spans spans;
 
   /// Books one repetition of operation `i` in `list`: its set-up and
-  /// operation host times, outcome and simulated digest.
+  /// operation host times, outcome and simulated digests. `cells_digest`
+  /// is 0 unless the repetition has one.
   void record(std::vector<Op>& list, std::size_t i, const std::string& name,
               double setup_s, double seconds, bool traced, bool ok,
               std::uint64_t digest, std::uint64_t instrs,
-              std::uint64_t cycles, const std::string& summary) {
+              std::uint64_t cycles, const std::string& summary,
+              std::uint64_t cells_digest = 0) {
     if (list.size() <= i) list.resize(i + 1);
     Op& op = list[i];
     ++attempted;
@@ -399,6 +325,14 @@ struct Bench {
     } else if (op.digest != digest) {
       ok = false;
       failures.push_back(name + ": simulated digest changed between passes");
+    }
+    if (cells_digest != 0) {
+      if (op.cells_digest == 0) {
+        op.cells_digest = cells_digest;
+      } else if (op.cells_digest != cells_digest) {
+        ok = false;
+        failures.push_back(name + ": cell digest changed between passes");
+      }
     }
     if (!ok) {
       ++failed;
@@ -446,7 +380,6 @@ void grid_pass(Bench& b, Spans* spans, bool first_pass) {
   }
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    b.cpu_picker.pin_quietest();
     std::unique_ptr<sim::Simulator> s;
     auto t0 = Clock::now();
     {
@@ -497,7 +430,6 @@ void grid_pass(Bench& b, Spans* spans, bool first_pass) {
     if (sampled && b.trace) {
       // The bare functional engine over the same program: its MIPS is
       // the fast-forward speed the sampled cell amortises against.
-      b.cpu_picker.pin_quietest();
       std::unique_ptr<sim::Simulator> fs;
       t0 = Clock::now();
       {
@@ -565,12 +497,14 @@ fuzz::ArchState core_state(const sim::Simulator& s, cpu::StopReason stop) {
 /// made of so the traced run can time each one: program generation, the
 /// functional-engine oracle, then per policy x preset cell machine
 /// construction, the detailed run, and the state check. Returns the same
-/// verdict check_seed does (the pass engine's digest check enforces it).
+/// verdict check_seed does (the pass engine's digest check enforces it),
+/// and sets `cells_digest` to a digest over every cell's simulated stats.
 fuzz::SeedVerdict traced_check_seed(std::uint64_t seed,
                                     const fuzz::FuzzSpec& spec,
                                     const fuzz::DifferentialConfig& config,
                                     Spans* spans,
-                                    std::map<std::string, double>* counts) {
+                                    std::map<std::string, double>* counts,
+                                    std::uint64_t* cells_digest) {
   Spans::Scope seed_scope(spans, "fuzz.check_seed");
   fuzz::SeedVerdict verdict;
   verdict.seed = seed;
@@ -603,6 +537,7 @@ fuzz::SeedVerdict traced_check_seed(std::uint64_t seed,
     return verdict;
   }
   std::vector<fuzz::ArchState> states;
+  Digest cells;
   for (const std::string& preset : sim::machine_preset_names()) {
     for (const std::string& policy : policy::registered_policy_names()) {
       const std::string name = policy + "/" + preset;
@@ -638,9 +573,11 @@ fuzz::SeedVerdict traced_check_seed(std::uint64_t seed,
         fail(name + ": shadow structures not empty after drain");
       }
       if (counts != nullptr) add_counts(*counts, *s, result);
+      cells.add(sim_digest(*s, result));
       states.push_back(std::move(state));
     }
   }
+  *cells_digest = cells.h;
   Spans::Scope scope(spans, "fuzz.check");
   verdict.cells = states.size();
   for (std::size_t i = 1; i < states.size(); ++i) {
@@ -652,9 +589,10 @@ fuzz::SeedVerdict traced_check_seed(std::uint64_t seed,
   return verdict;
 }
 
-/// One pass over kFuzzSeeds consecutive seeds. Set-up fingerprints each
-/// seed's generated program (outside the timed region); the timed
-/// operation is fuzz::check_seed, or its traced recomposition.
+/// One pass over kFuzzSeeds consecutive seeds. Set-up generates each
+/// seed's program, outside the timed region, and fingerprints it outside
+/// the set-up timer; the timed operation is fuzz::check_seed (which
+/// generates the program again), or its traced recomposition.
 void fuzz_pass(Bench& b, Spans* spans, bool count_pass) {
   const fuzz::FuzzSpec spec;
   fuzz::DifferentialConfig config;
@@ -665,6 +603,7 @@ void fuzz_pass(Bench& b, Spans* spans, bool count_pass) {
   for (std::uint64_t i = 0; i < kFuzzSeeds; ++i) {
     const auto t0 = Clock::now();
     const fuzz::FuzzProgram fp = fuzz::generate_program(b.seed + i, spec);
+    setup_s[i] = seconds_since(t0);
     Digest d;
     d.h = fnv1a64(isa::to_string(fp.program));
     for (const auto& region : fp.regions) {
@@ -673,18 +612,18 @@ void fuzz_pass(Bench& b, Spans* spans, bool count_pass) {
     }
     for (const auto& poke : fp.pokes) d.add(poke.addr).add(poke.value);
     program_hash[i] = d.add(fp.max_instrs_hint).h;
-    setup_s[i] = seconds_since(t0);
   }
 
   for (std::uint64_t i = 0; i < kFuzzSeeds; ++i) {
     const std::uint64_t seed = b.seed + i;
-    b.cpu_picker.pin_quietest();
+    std::uint64_t cells_digest = 0;
     const auto t0 = Clock::now();
     const fuzz::SeedVerdict v =
         spans == nullptr
             ? fuzz::check_seed(seed, spec, config)
             : traced_check_seed(seed, spec, config, spans,
-                                count_pass ? &b.counts : nullptr);
+                                count_pass ? &b.counts : nullptr,
+                                &cells_digest);
     const double s = seconds_since(t0);
     Digest d;
     d.add(program_hash[i]).add(v.ok).add(v.cells).add(v.committed);
@@ -696,7 +635,7 @@ void fuzz_pass(Bench& b, Spans* spans, bool count_pass) {
     }
     b.record(b.ops, i, "seed-" + std::to_string(seed), setup_s[i], s,
              spans != nullptr, v.ok, d.h, v.committed * (v.cells + 1), 0,
-             summary);
+             summary, cells_digest);
     if (count_pass) {
       b.counts["fuzz.cells"] += static_cast<double>(v.cells);
       b.counts["fuzz.oracle_instrs"] += static_cast<double>(v.committed);
@@ -912,8 +851,11 @@ int run(const Options& opt) {
     best_total_s += op.best_s;
     best_setup_s += op.best_setup_s;
     instrs_total += op.instrs;
-    std::printf("op %-24s best_ms=%9.3f digest=%s %s\n", op.name.c_str(),
-                op.best_s * 1e3, hex(op.digest).c_str(), op.summary.c_str());
+    const std::string cells =
+        op.cells_digest != 0 ? " cells_digest=" + hex(op.cells_digest) : "";
+    std::printf("op %-24s best_ms=%9.3f digest=%s%s %s\n", op.name.c_str(),
+                op.best_s * 1e3, hex(op.digest).c_str(), cells.c_str(),
+                op.summary.c_str());
   }
   for (const Op& op : b.functional_ops) {
     std::printf("op %-24s best_ms=%9.3f digest=%s %s\n", op.name.c_str(),
@@ -936,8 +878,6 @@ int run(const Options& opt) {
     metrics.push_back({{"sim_mips", "MIPS"},
                        ratio(static_cast<double>(instrs_total),
                              best_total_s * 1e6)});
-    metrics.push_back({{"ops_per_s", "1/s"},
-                       ratio(static_cast<double>(b.ops.size()), best_total_s)});
     metrics.push_back({{"setup_s", "s"}, best_setup_s});
     metrics.push_back({{"peak_rss_mb", "MB"}, peak_rss_mb()});
   } else {

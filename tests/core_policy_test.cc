@@ -3,8 +3,10 @@
 // corner cases that the end-to-end attack tests exercise only indirectly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "isa/program.h"
 #include "safespec/policy.h"
@@ -429,6 +431,329 @@ TEST(CommitXorForwarding, PostCommitConsumersReadXoredRegisterFile) {
     EXPECT_EQ(s->core().reg(1), 7u ^ kXor) << policy;
     EXPECT_EQ(s->core().reg(2), ((7u ^ kXor) + 1u) ^ kXor) << policy;
   }
+}
+
+// ---- scheduler corner cases -----------------------------------------------
+// Each program below drives one corner of the issue / completion / WFB
+// promotion scheduler. Under every registered policy the run's cycle
+// count, committed instructions and shadow-cache promoted/squashed counts
+// are pinned, so a scheduler restructuring that changes which entry
+// issues, completes or promotes in which cycle (or in which order —
+// promotion order is LRU fill order) fails here with the diverging
+// policy named. A newly registered policy fails until it is pinned too.
+
+struct SchedulerPin {
+  const char* policy;
+  Cycle cycles;
+  std::uint64_t committed;
+  std::uint64_t dcache_promoted;
+  std::uint64_t dcache_squashed;
+  std::uint64_t icache_promoted;
+  std::uint64_t icache_squashed;
+  /// First cycle at which the case's probe line is resident in the L3
+  /// (0: never). It separates the policies' fill timing: issue (the
+  /// unprotected ones), resolution (WFB) or commit (WFC).
+  Cycle probe_l3_cycle;
+};
+
+/// Steps `program` to its halt under every registered policy (after
+/// `setup` maps and seeds its data), checks the architectural result with
+/// `check`, and compares the run against the policy's pin.
+template <typename Setup, typename Check>
+void expect_scheduler_pins(const isa::Program& program, Addr probe,
+                           Setup setup, Check check,
+                           const std::vector<SchedulerPin>& pins) {
+  for (const auto& policy : policy::registered_policy_names()) {
+    cpu::CoreConfig config = sim::skylake_config();
+    config.policy = policy;
+    sim::Simulator s(config, program);
+    s.map_text();
+    setup(s);
+    auto& core = s.core();
+    Cycle probe_l3_cycle = 0;
+    while (!core.halted() && core.now() < 100'000) {
+      core.step();
+      if (probe_l3_cycle == 0 &&
+          core.hierarchy().resident_l3(line_of(probe))) {
+        probe_l3_cycle = core.now();
+      }
+    }
+    ASSERT_EQ(core.stop_reason(), cpu::StopReason::kHalted) << policy;
+    check(s, policy);
+    const SchedulerPin actual{
+        policy.c_str(),
+        core.stats().cycles,
+        core.stats().committed_instrs,
+        core.shadow_dcache().stats().committed.value(),
+        core.shadow_dcache().stats().squashed.value(),
+        core.shadow_icache().stats().committed.value(),
+        core.shadow_icache().stats().squashed.value(),
+        probe_l3_cycle};
+    const auto pin = std::find_if(pins.begin(), pins.end(),
+                                  [&](const SchedulerPin& p) {
+                                    return policy == p.policy;
+                                  });
+    if (pin == pins.end()) {
+      ADD_FAILURE() << "no pin for policy " << policy << "; measured {\""
+                    << policy << "\", " << actual.cycles << ", "
+                    << actual.committed << ", " << actual.dcache_promoted
+                    << ", " << actual.dcache_squashed << ", "
+                    << actual.icache_promoted << ", "
+                    << actual.icache_squashed << ", "
+                    << actual.probe_l3_cycle << "}";
+      continue;
+    }
+    EXPECT_EQ(actual.cycles, pin->cycles) << policy;
+    EXPECT_EQ(actual.committed, pin->committed) << policy;
+    EXPECT_EQ(actual.dcache_promoted, pin->dcache_promoted) << policy;
+    EXPECT_EQ(actual.dcache_squashed, pin->dcache_squashed) << policy;
+    EXPECT_EQ(actual.icache_promoted, pin->icache_promoted) << policy;
+    EXPECT_EQ(actual.icache_squashed, pin->icache_squashed) << policy;
+    EXPECT_EQ(actual.probe_l3_cycle, pin->probe_l3_cycle) << policy;
+  }
+}
+
+TEST(SchedulerPins, OverflowWakeupReachesEveryConsumer) {
+  // One cold load feeds 13 consumers — more than DynInst::kMaxDeps — so
+  // its completion takes the dep_overflow wakeup path. Twelve consumers
+  // are loads to distinct lines (each a shadow d-cache fill that WFB
+  // promotes once it issues); the thirteenth is an ALU op.
+  static_assert(cpu::DynInst::kMaxDeps < 13);
+  constexpr Addr kPtr = 0x800000;
+  constexpr Addr kArr = 0x810000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kPtr);
+  b.load(2, 1, 0);  // cold miss: r2 = kArr
+  for (int i = 0; i < 12; ++i) {
+    b.load(static_cast<RegIndex>(3 + i), 2, i * 64);
+  }
+  b.alui(AluOp::kAdd, 15, 2, 1);
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  expect_scheduler_pins(
+      prog, kArr + 11 * 64,
+      [](sim::Simulator& s) {
+        s.map_region(kPtr, kPageSize);
+        s.map_region(kArr, kPageSize);
+        s.poke(kPtr, kArr);
+        for (int i = 0; i < 12; ++i) {
+          s.poke(kArr + static_cast<Addr>(i) * 64,
+                 static_cast<std::uint64_t>(i + 1));
+        }
+      },
+      [](const sim::Simulator& s, const std::string& policy) {
+        for (int i = 0; i < 12; ++i) {
+          EXPECT_EQ(s.core().reg(static_cast<RegIndex>(3 + i)),
+                    static_cast<std::uint64_t>(i + 1))
+              << policy;
+        }
+        EXPECT_EQ(s.core().reg(15), kArr + 1) << policy;
+      },
+      {{"SHARP", 1757, 16, 0, 0, 0, 0, 1358},
+       {"WFB", 2318, 16, 18, 4, 1, 0, 1920},
+       {"WFB-stall", 2318, 16, 18, 4, 1, 0, 1920},
+       {"WFC", 2318, 16, 18, 4, 1, 0, 2317},
+       {"baseline", 1757, 16, 0, 0, 0, 0, 1358},
+       {"detect-only", 1757, 16, 0, 0, 0, 0, 1358}});
+}
+
+TEST(SchedulerPins, ReadyFenceWaitsForRobHead) {
+  // The fence has no operands, so it is ready the cycle it dispatches,
+  // but it may execute only as the ROB head — behind a cold load here.
+  // It retries every cycle until the load commits.
+  constexpr Addr kSlow = 0x820000;
+  constexpr Addr kData = 0x830000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kSlow).movi(3, kData);
+  b.load(2, 1, 0);  // cold: holds the ROB head
+  b.fence();        // ready, not at the head
+  b.load(4, 3, 0);
+  b.alu(AluOp::kAdd, 5, 2, 4);
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  expect_scheduler_pins(
+      prog, kData,
+      [](sim::Simulator& s) {
+        s.map_region(kSlow, kPageSize);
+        s.map_region(kData, kPageSize);
+        s.poke(kSlow, 40);
+        s.poke(kData, 2);
+      },
+      [](const sim::Simulator& s, const std::string& policy) {
+        EXPECT_EQ(s.core().reg(5), 42u) << policy;
+      },
+      {{"SHARP", 1766, 7, 0, 0, 0, 0, 1367},
+       {"WFB", 2327, 7, 7, 4, 1, 0, 1929},
+       {"WFB-stall", 2327, 7, 7, 4, 1, 0, 1929},
+       {"WFC", 2327, 7, 7, 4, 1, 0, 2326},
+       {"baseline", 1766, 7, 0, 0, 0, 0, 1367},
+       {"detect-only", 1766, 7, 0, 0, 0, 0, 1367}});
+}
+
+TEST(SchedulerPins, LoadWaitsForOlderUnknownStoreAddress) {
+  // The store's address comes from a cold load, so it stays unissued for
+  // a memory latency; the younger independent load is ready at once but
+  // must retry until the store's address is known. The last load then
+  // forwards from the store.
+  constexpr Addr kPtr = 0x840000;
+  constexpr Addr kDst = 0x850000;
+  constexpr Addr kOther = 0x860000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kPtr).movi(3, 0x55).movi(4, kOther);
+  b.load(2, 1, 0);   // cold: r2 = kDst
+  b.store(3, 2, 0);  // address unknown until r2 arrives
+  b.load(5, 4, 0);   // ready, held back by the store
+  b.load(6, 2, 0);   // same word as the store: forwarded
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  expect_scheduler_pins(
+      prog, kOther,
+      [](sim::Simulator& s) {
+        s.map_region(kPtr, kPageSize);
+        s.map_region(kDst, kPageSize);
+        s.map_region(kOther, kPageSize);
+        s.poke(kPtr, kDst);
+        s.poke(kOther, 9);
+      },
+      [](const sim::Simulator& s, const std::string& policy) {
+        EXPECT_EQ(s.core().reg(5), 9u) << policy;
+        EXPECT_EQ(s.core().reg(6), 0x55u) << policy;
+        EXPECT_EQ(s.peek(kDst), 0x55u) << policy;
+      },
+      {{"SHARP", 1755, 8, 0, 0, 0, 0, 1357},
+       {"WFB", 2316, 8, 8, 4, 1, 0, 1919},
+       {"WFB-stall", 2316, 8, 8, 4, 1, 0, 1919},
+       {"WFC", 2316, 8, 8, 4, 1, 0, 2316},
+       {"baseline", 1755, 8, 0, 0, 0, 0, 1357},
+       {"detect-only", 1755, 8, 0, 0, 0, 0, 1357}});
+}
+
+TEST(SchedulerPins, MispredictSquashesWhileOlderEntriesComplete) {
+  // A taken branch the cold predictor calls not-taken resolves at the end
+  // of a two-op ALU chain. Older multiplies issued alongside the chain
+  // complete in the same cycle as the branch, so completion must handle
+  // the older entries, then the branch, then stop at the squash. The
+  // wrong path holds a load whose shadow line is annulled.
+  constexpr Addr kWrong = 0x870000;
+  constexpr Addr kRight = 0x880000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, 1).movi(8, kWrong).movi(10, kRight);
+  b.alu(AluOp::kMul, 2, 1, 1);
+  b.alu(AluOp::kMul, 6, 1, 1);
+  b.alui(AluOp::kAdd, 4, 1, 0);
+  b.alui(AluOp::kAdd, 5, 4, 0);
+  b.branch(CondOp::kNe, 5, kZeroReg, "taken");
+  b.load(9, 8, 0);  // wrong path only
+  b.halt();
+  b.label("taken").load(11, 10, 0).alu(AluOp::kAdd, 12, 2, 6).halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  expect_scheduler_pins(
+      prog, kRight,
+      [](sim::Simulator& s) {
+        s.map_region(kWrong, kPageSize);
+        s.map_region(kRight, kPageSize);
+        s.poke(kRight, 7);
+      },
+      [](const sim::Simulator& s, const std::string& policy) {
+        EXPECT_EQ(s.core().reg(9), 0u) << policy;
+        EXPECT_EQ(s.core().reg(11), 7u) << policy;
+        EXPECT_EQ(s.core().reg(12), 2u) << policy;
+        EXPECT_EQ(s.core().stats().mispredicts, 1u) << policy;
+      },
+      {{"SHARP", 1371, 11, 0, 0, 0, 0, 973},
+       {"WFB", 1932, 11, 5, 9, 1, 0, 974},
+       {"WFB-stall", 1932, 11, 5, 9, 1, 0, 974},
+       {"WFC", 1932, 11, 5, 9, 1, 0, 1932},
+       {"baseline", 1371, 11, 0, 0, 0, 0, 973},
+       {"detect-only", 1371, 11, 0, 0, 0, 0, 973}});
+}
+
+TEST(SchedulerPins, CallAndJumpBelowFrontierPromoteAtResolution) {
+  // A chain of three cold loads holds the ROB head while a call and a
+  // jump dispatch behind it, each the first instruction of a new code
+  // line, so each holds that line's shadow i-cache entry. No conditional
+  // branch is in flight, so the WFB frontier passes them while they
+  // still wait: WFB promotes their lines only when they resolve, long
+  // before they commit. The probe is the call's code line (text is
+  // identity-mapped).
+  constexpr Addr kBlock = 0x890000;  // three pages, one per chain link
+  constexpr Addr kData = 0x8C0000;
+  constexpr Addr kCallSite = 0x2000;
+  ProgramBuilder b(0x1000);
+  b.movi(1, kBlock).movi(3, kData);
+  b.load(2, 1, 0).load(2, 2, 0).load(2, 2, 0);  // cold chain: blocks commit
+  b.jump("site");
+  b.at(kCallSite).label("site").call("fn");
+  b.load(6, 3, 64);
+  b.halt();
+  b.at(0x3000).label("fn").jump("tail");
+  b.at(0x5000).label("tail").load(4, 3, 0).alui(AluOp::kAdd, 5, 4, 1).ret();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  expect_scheduler_pins(
+      prog, kCallSite,
+      [](sim::Simulator& s) {
+        s.map_region(kBlock, 3 * kPageSize);
+        s.map_region(kData, kPageSize);
+        s.poke(kBlock, kBlock + kPageSize);
+        s.poke(kBlock + kPageSize, kBlock + 2 * kPageSize);
+        s.poke(kData, 4);
+        s.poke(kData + 64, 6);
+      },
+      [](const sim::Simulator& s, const std::string& policy) {
+        EXPECT_EQ(s.core().reg(5), 5u) << policy;
+        EXPECT_EQ(s.core().reg(6), 6u) << policy;
+      },
+      {{"SHARP", 1985, 13, 0, 0, 0, 0, 973},
+       {"WFB", 3107, 13, 10, 10, 4, 0, 1919},
+       {"WFB-stall", 3107, 13, 10, 10, 4, 0, 1919},
+       {"WFC", 3107, 13, 10, 10, 4, 0, 2336},
+       {"baseline", 1985, 13, 0, 0, 0, 0, 973},
+       {"detect-only", 1985, 13, 0, 0, 0, 0, 973}});
+}
+
+TEST(SchedulerPins, SameCyclePromotionsFillInSeqOrder) {
+  // Nine loads to nine lines of one 8-way L1D set wait on a cold
+  // producer, so the WFB frontier passes them before they issue; they
+  // then issue six and three per cycle and promote at the next commit
+  // stages. The promotion order is the LRU fill order, so it decides
+  // which line the ninth fill evicts — and whether the final reload of
+  // the first line hits the L1.
+  constexpr Addr kPtr = 0x8D0040;
+  constexpr Addr kBase = 0x900000;  // nine pages: one L1D set, 4 KB apart
+  ProgramBuilder b(0x1000);
+  b.movi(1, kPtr);
+  b.load(2, 1, 0);  // cold: r2 = kBase
+  for (int i = 0; i < 9; ++i) {
+    b.load(static_cast<RegIndex>(3 + i), 2, i * static_cast<int>(kPageSize));
+  }
+  b.alu(AluOp::kAdd, 20, 2, 11);  // kBase + 0, once the ninth load is in
+  b.load(21, 20, 0);              // reload of the first line
+  b.halt();
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  expect_scheduler_pins(
+      prog, kBase,
+      [](sim::Simulator& s) {
+        s.map_region(kPtr, kPageSize);
+        s.map_region(kBase, 9 * kPageSize);
+        s.poke(kPtr, kBase);
+        s.poke(kBase, 5);
+      },
+      [](const sim::Simulator& s, const std::string& policy) {
+        EXPECT_EQ(s.core().reg(3), 5u) << policy;
+        EXPECT_EQ(s.core().reg(21), 5u) << policy;
+      },
+      {{"SHARP", 1769, 14, 0, 0, 0, 0, 1357},
+       {"WFB", 2330, 14, 18, 4, 1, 0, 1919},
+       {"WFB-stall", 2330, 14, 18, 4, 1, 0, 1919},
+       {"WFC", 2323, 14, 16, 4, 1, 0, 2316},
+       {"baseline", 1769, 14, 0, 0, 0, 0, 1357},
+       {"detect-only", 1769, 14, 0, 0, 0, 0, 1357}});
 }
 
 TEST(Restart, PreservesMicroarchitecturalState) {

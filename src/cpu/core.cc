@@ -78,7 +78,9 @@ Core::Core(const CoreConfig& config, const isa::Program* program,
           static_cast<std::size_t>(kFetchBufferCap + config_.fetch_width)) {
   fetch_pc_ = program_->entry();
   unresolved_branches_.reserve(static_cast<std::size_t>(config_.rob_entries));
-  waiting_.reserve(static_cast<std::size_t>(config_.iq_entries));
+  ready_.reserve(static_cast<std::size_t>(config_.iq_entries));
+  in_flight_.reserve(static_cast<std::size_t>(config_.rob_entries));
+  wfb_pending_.reserve(static_cast<std::size_t>(config_.rob_entries));
   if (config_.dib_lines > 0) {
     std::size_t lines = 1;
     while (lines < static_cast<std::size_t>(config_.dib_lines)) lines *= 2;
@@ -180,18 +182,22 @@ void Core::step() {
 // --------------------------------------------------------------------------
 
 void Core::stage_complete() {
-  // Nothing in flight can have finished yet: skip the walk entirely.
-  // next_complete_cycle_ is a lower bound on the earliest completion
-  // (kept at issue time), so this gate never delays a writeback — it
-  // only removes the empty full-ROB scans that dominate memory-bound
-  // phases, where the window sits blocked behind a long-latency load.
+  // Nothing in flight can have finished yet. next_complete_cycle_ is a
+  // lower bound on the earliest completion (kept at issue time), so this
+  // gate never delays a writeback — it skips the cycles of memory-bound
+  // phases where the window sits blocked behind a long-latency load.
   if (cycle_ < next_complete_cycle_) return;
   Cycle next = kNeverCycle;
-  for (std::size_t i = 0; i < rob_.size(); ++i) {
-    DynInst& di = rob_[i];
-    if (di.state != InstState::kIssued) continue;
+  // Compacts in place: in_flight_[0, kept) holds the still-executing
+  // entries visited so far; [kept, i) the visited, now-done ones.
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  while (i < in_flight_.size()) {
+    const SeqNum seq = in_flight_[i++];
+    DynInst& di = *find_by_seq(seq);
     if (di.done_cycle > cycle_) {
       next = std::min(next, di.done_cycle);
+      in_flight_[kept++] = seq;
       continue;
     }
     di.state = InstState::kDone;
@@ -199,12 +205,14 @@ void Core::stage_complete() {
     if (di.is_branch()) {
       resolve_branch(di);
       if (di.mispredicted) {
-        // Everything younger is gone; nothing further to complete. The
-        // older in-flight entries were already folded into `next`.
+        // The squash truncated in_flight_ to [0, i): everything younger
+        // is gone, and the older entries were already folded into `next`.
         break;
       }
     }
   }
+  in_flight_.erase(in_flight_.begin() + static_cast<std::ptrdiff_t>(kept),
+                   in_flight_.begin() + static_cast<std::ptrdiff_t>(i));
   next_complete_cycle_ = next;
 }
 
@@ -234,6 +242,7 @@ void Core::resolve_branch(DynInst& di) {
   }
   di.branch_resolved = true;
   erase_seq(unresolved_branches_, di.seq);
+  note_promotable(di);
 
   // Resolution-time training — the path an attacker mistrains through.
   predictor_.train(di.pc, di.inst, di.actual_taken, di.actual_next);
@@ -256,7 +265,7 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
     if (victim.is_branch()) erase_seq(unresolved_branches_, victim.seq);
     if (victim.is_load()) --loads_in_flight_;
     if (victim.is_store()) --stores_in_flight_;
-    if (victim.state == InstState::kWaiting) erase_seq(waiting_, victim.seq);
+    if (victim.state == InstState::kWaiting) --waiting_;
     if (victim.inst.op == OpClass::kFence) fence_active_ = false;
     ++stats_.squashed_instrs;
     rob_.pop_back();
@@ -266,11 +275,16 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
   // reference to a squashed seq was erased above, and relabeling future
   // instructions preserves all age comparisons.
   next_seq_ = seq + 1;
-  // The WFB sweep hint may have advanced past `seq` (the squashed suffix
-  // was promotable); instructions dispatched after the rewind reuse those
-  // seqs, so clamp the hint or the sweep would skip them — promoting
-  // their shadow state only at commit and silently shifting WFB timing
-  // and occupancy on every fault-handler recovery.
+  truncate_above(ready_, seq);
+  truncate_above(in_flight_, seq);
+  wfb_pending_.erase(std::remove_if(wfb_pending_.begin(), wfb_pending_.end(),
+                                    [seq](SeqNum s) { return s > seq; }),
+                     wfb_pending_.end());
+  // The WFB frontier mark may have advanced past `seq` (the squashed
+  // suffix was passed); instructions dispatched after the rewind reuse
+  // those seqs, so clamp the mark or the frontier would never pass them —
+  // promoting their shadow state only at commit and silently shifting WFB
+  // timing and occupancy on every fault-handler recovery.
   promoted_below_seq_ = std::min(promoted_below_seq_, next_seq_);
   // Wrong-path decoded instructions also hold shadow references.
   for (FetchedInst& fi : fetch_queue_) {
@@ -313,33 +327,34 @@ void Core::rebuild_rename_map() {
 // --------------------------------------------------------------------------
 
 void Core::stage_commit() {
-  // WFB promotion sweep: an instruction's shadow state becomes commitable
-  // once no older branch remains unresolved (§III "wait-for-branch").
-  // Promotable entries are exactly those older than the oldest unresolved
-  // branch (the frontier — non-decreasing over a run), so the sweep only
-  // walks [promoted_below_seq_, frontier): everything before the hint was
-  // promoted by an earlier sweep, everything at or past the frontier has
-  // an older unresolved branch (or is the unresolved branch itself).
+  // WFB promotion: an instruction's shadow state becomes commitable once
+  // no older branch remains unresolved (§III "wait-for-branch") and it is
+  // promotable itself — issued, and resolved if it is a jump or call.
+  // Only entries older than the oldest unresolved branch (the frontier,
+  // non-decreasing between squashes) qualify. The frontier passes each
+  // seq once: the newly passed range [promoted_below_seq_, frontier) is
+  // promoted here, except entries not yet promotable, which their own
+  // issue or resolve event queues on wfb_pending_ for a later cycle.
+  // Queued seqs all lie below the range, so promoting them first keeps
+  // the whole cycle's promotions (hence LRU fills) in ascending seq order.
   if (promote_at_resolution_ && !rob_.empty()) {
     const SeqNum front_seq = rob_.front().seq;
     const SeqNum frontier = unresolved_branches_.empty()
                                 ? rob_.back().seq + 1
                                 : unresolved_branches_.front();
-    SeqNum new_hint = frontier;
+    assert(frontier >= promoted_below_seq_);
+    std::sort(wfb_pending_.begin(), wfb_pending_.end());
+    for (const SeqNum seq : wfb_pending_) promote_shadow(*find_by_seq(seq));
+    wfb_pending_.clear();
     for (SeqNum seq = std::max(promoted_below_seq_, front_seq);
          seq < frontier; ++seq) {
       DynInst& di = rob_[static_cast<std::size_t>(seq - front_seq)];
-      // Not yet promotable: still waiting to issue, or a jump/call whose
-      // own resolution (hence squash-or-survive fate) is not in. The
-      // sweep must revisit it, so the hint stops short of it.
-      if (di.state == InstState::kWaiting ||
-          (di.is_branch() && !di.branch_resolved)) {
-        new_hint = std::min(new_hint, seq);
-        continue;
+      if (di.state != InstState::kWaiting &&
+          (!di.is_branch() || di.branch_resolved)) {
+        promote_shadow(di);
       }
-      if (!di.shadow_promoted) promote_shadow(di);
     }
-    promoted_below_seq_ = new_hint;
+    promoted_below_seq_ = frontier;
   }
 
   for (int n = 0; n < config_.commit_width && !rob_.empty(); ++n) {
@@ -402,8 +417,9 @@ void Core::commit_one(DynInst& head) {
 
   // WFC: shadow state is promoted only now, when the producing
   // instruction is guaranteed architectural (§III "wait-for-commit").
-  // Under WFB the sweep above already promoted; promote_shadow is
-  // idempotent via shadow_promoted. Baseline holds no references.
+  // Under WFB the promotion step of stage_commit already promoted;
+  // promote_shadow is idempotent via shadow_promoted. Baseline holds no
+  // references.
   promote_shadow(head);
 
   ++stats_.committed_instrs;
@@ -417,6 +433,8 @@ void Core::raise_fault(DynInst& head) {
   // dependent gadget load's line dies here too, with the rest of the
   // younger window).
   release_shadow(head);
+  // The head is kDone, so of the worklists only unresolved_branches_ can
+  // hold it (wfb_pending_ was drained at the top of stage_commit).
   if (head.is_branch()) erase_seq(unresolved_branches_, head.seq);
   if (head.is_load()) --loads_in_flight_;
   if (head.is_store()) --stores_in_flight_;
@@ -436,9 +454,26 @@ bool Core::older_unresolved_branch_exists(SeqNum seq) const {
   return !unresolved_branches_.empty() && unresolved_branches_.front() < seq;
 }
 
+void Core::note_promotable(const DynInst& di) {
+  // promoted_below_seq_ stays 0 unless the policy promotes at resolution.
+  if (di.seq < promoted_below_seq_) wfb_pending_.push_back(di.seq);
+}
+
 void Core::erase_seq(std::vector<SeqNum>& seqs, SeqNum seq) {
   const auto it = std::lower_bound(seqs.begin(), seqs.end(), seq);
   if (it != seqs.end() && *it == seq) seqs.erase(it);
+}
+
+void Core::insert_seq(std::vector<SeqNum>& seqs, SeqNum seq) {
+  if (seqs.empty() || seqs.back() < seq) {
+    seqs.push_back(seq);
+    return;
+  }
+  seqs.insert(std::lower_bound(seqs.begin(), seqs.end(), seq), seq);
+}
+
+void Core::truncate_above(std::vector<SeqNum>& seqs, SeqNum seq) {
+  while (!seqs.empty() && seqs.back() > seq) seqs.pop_back();
 }
 
 // --------------------------------------------------------------------------
@@ -549,33 +584,32 @@ void Core::release_shadow(DynInst& di) {
 // --------------------------------------------------------------------------
 
 void Core::stage_issue() {
-  // Walk only the waiting (dispatched, unissued) entries — waiting_ is
-  // seq-ordered, so candidates are visited oldest-first exactly as a full
-  // ROB scan would.
+  // ready_ is seq-ordered, so candidates are tried oldest-first. Compacts
+  // in place: ready_[0, kept) holds the entries that must retry.
   int issued = 0;
-  for (std::size_t w = 0;
-       w < waiting_.size() && issued < config_.issue_width;) {
-    DynInst* di = find_by_seq(waiting_[w]);
-    assert(di != nullptr && di->state == InstState::kWaiting);
-    if (!di->src1_ready || !di->src2_ready) {
-      ++w;
-      continue;
-    }
+  std::size_t kept = 0;
+  std::size_t i = 0;
+  for (; i < ready_.size() && issued < config_.issue_width; ++i) {
+    const SeqNum seq = ready_[i];
+    DynInst& di = *find_by_seq(seq);
+    assert(di.state == InstState::kWaiting && di.src1_ready && di.src2_ready);
     // A fence executes only once it is the oldest instruction (its whole
     // ordering purpose).
-    if (di->inst.op == OpClass::kFence && rob_.front().seq != di->seq) {
-      ++w;
+    if ((di.inst.op == OpClass::kFence && rob_.front().seq != seq) ||
+        !execute(di)) {
+      ready_[kept++] = seq;
       continue;
     }
-    if (execute(*di)) {
-      di->state = InstState::kIssued;
-      next_complete_cycle_ = std::min(next_complete_cycle_, di->done_cycle);
-      waiting_.erase(waiting_.begin() + static_cast<std::ptrdiff_t>(w));
-      ++issued;
-    } else {
-      ++w;
-    }
+    di.state = InstState::kIssued;
+    --waiting_;
+    insert_seq(in_flight_, seq);
+    next_complete_cycle_ = std::min(next_complete_cycle_, di.done_cycle);
+    // A branch becomes promotable only when it resolves.
+    if (!di.is_branch()) note_promotable(di);
+    ++issued;
   }
+  ready_.erase(ready_.begin() + static_cast<std::ptrdiff_t>(kept),
+               ready_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 bool Core::execute(DynInst& di) {
@@ -893,6 +927,20 @@ DynInst* Core::find_by_seq(SeqNum seq) {
 }
 
 void Core::wake_dependents(const DynInst& producer) {
+  // Delivers the result to each operand bound to `producer`; a consumer
+  // whose last missing operand this was joins ready_.
+  const auto wake = [this, &producer](DynInst& di) {
+    if (di.src1_ready && di.src2_ready) return;
+    if (!di.src1_ready && di.src1_producer == producer.seq) {
+      di.src1_value = producer.result;
+      di.src1_ready = true;
+    }
+    if (!di.src2_ready && di.src2_producer == producer.seq) {
+      di.src2_value = producer.result;
+      di.src2_ready = true;
+    }
+    if (di.src1_ready && di.src2_ready) insert_seq(ready_, di.seq);
+  };
   // Common case: visit exactly the consumers that bound an operand to
   // this producer at dispatch. A recorded seq can be stale (its consumer
   // squashed and the seq reused after the rewind), so each entry is
@@ -901,16 +949,7 @@ void Core::wake_dependents(const DynInst& producer) {
   // inert or a genuine dependent that re-bound under the reused seq.
   if (!producer.dep_overflow) {
     for (int i = 0; i < producer.dep_count; ++i) {
-      DynInst* di = find_by_seq(producer.deps[i]);
-      if (di == nullptr) continue;
-      if (!di->src1_ready && di->src1_producer == producer.seq) {
-        di->src1_value = producer.result;
-        di->src1_ready = true;
-      }
-      if (!di->src2_ready && di->src2_producer == producer.seq) {
-        di->src2_value = producer.result;
-        di->src2_ready = true;
-      }
+      if (DynInst* di = find_by_seq(producer.deps[i])) wake(*di);
     }
     return;
   }
@@ -920,15 +959,7 @@ void Core::wake_dependents(const DynInst& producer) {
   for (std::size_t i =
            static_cast<std::size_t>(producer.seq - front_seq) + 1;
        i < rob_.size(); ++i) {
-    DynInst& di = rob_[i];
-    if (!di.src1_ready && di.src1_producer == producer.seq) {
-      di.src1_value = producer.result;
-      di.src1_ready = true;
-    }
-    if (!di.src2_ready && di.src2_producer == producer.seq) {
-      di.src2_value = producer.result;
-      di.src2_ready = true;
-    }
+    wake(rob_[i]);
   }
 }
 
@@ -938,10 +969,7 @@ void Core::stage_dispatch() {
     FetchedInst& fi = fetch_queue_.front();
     if (fi.ready_at > cycle_) return;
     if (fence_active_) return;
-    if (rob_full() ||
-        static_cast<int>(waiting_.size()) >= config_.iq_entries) {
-      return;
-    }
+    if (rob_full() || waiting_ >= config_.iq_entries) return;
     if (fi.inst.op == OpClass::kLoad &&
         loads_in_flight_ >= config_.ldq_entries) {
       return;
@@ -992,7 +1020,9 @@ void Core::stage_dispatch() {
     if (di.is_load()) ++loads_in_flight_;
     if (di.is_store()) ++stores_in_flight_;
     if (di.inst.op == OpClass::kFence) fence_active_ = true;
-    waiting_.push_back(di.seq);  // seqs ascend: stays sorted
+    ++waiting_;
+    // Seqs ascend, so appending keeps ready_ sorted.
+    if (di.src1_ready && di.src2_ready) ready_.push_back(di.seq);
 
     rob_.push_back(std::move(di));
     fetch_queue_.pop_front();
@@ -1196,7 +1226,10 @@ void Core::restart_at(Addr pc) {
   fetch_queue_.clear();
   release_pending_fetch_refs();
   unresolved_branches_.clear();
-  waiting_.clear();
+  ready_.clear();
+  in_flight_.clear();
+  wfb_pending_.clear();
+  waiting_ = 0;
   next_complete_cycle_ = kNeverCycle;
   promoted_below_seq_ = 0;
   std::fill(std::begin(rename_), std::end(rename_), SeqNum{0});

@@ -283,8 +283,13 @@ class Core {
   };
 
   // ---- pipeline stages (called newest-to-oldest each cycle) -----------
+  /// WFB promotion of what the frontier passed or what became promotable
+  /// behind it (ascending seq), then in-order retirement.
   void stage_commit();
+  /// Writes back the in_flight_ entries whose latency elapsed, oldest
+  /// first, resolving branches; stops at a mispredict's squash.
   void stage_complete();
+  /// Tries the ready_ entries oldest-first, up to issue_width issues.
   void stage_issue();
   void stage_dispatch();
   void stage_fetch();
@@ -344,8 +349,18 @@ class Core {
 
   bool protection_on() const { return protection_on_; }
 
+  /// WFB event hook, called when `di` becomes promotable (a non-branch
+  /// issues, a branch resolves): queues it on wfb_pending_ if the
+  /// frontier has already passed it.
+  void note_promotable(const DynInst& di);
+
   /// Removes `seq` from a sorted seq vector (no-op when absent).
   static void erase_seq(std::vector<SeqNum>& seqs, SeqNum seq);
+  /// Inserts `seq` into a sorted seq vector (O(1) when it is the
+  /// youngest, the common case).
+  static void insert_seq(std::vector<SeqNum>& seqs, SeqNum seq);
+  /// Drops every seq above `seq` from a sorted seq vector.
+  static void truncate_above(std::vector<SeqNum>& seqs, SeqNum seq);
 
   // ---- configuration / substrate ---------------------------------------
   CoreConfig config_;
@@ -378,23 +393,39 @@ class Core {
   Cycle cycle_ = 0;
   SeqNum next_seq_ = 1;
   // Pre-sized rings: the ROB and fetch buffer have hard architectural
-  // bounds, so their storage is one contiguous slab each (the per-cycle
-  // walks below iterate these).
+  // bounds, so their storage is one contiguous slab each.
   RingBuffer<DynInst> rob_;
   RingBuffer<FetchedInst> fetch_queue_;
+
+  // Scheduler worklists: seq lists naming ROB entries, kept current by
+  // the events that change them so that no stage rescans the ROB. Every
+  // list drops the seqs above a squash point in squash_younger_than (the
+  // rewind reuses them) and clears in restart_at.
   /// Seqs of unresolved kBranch/kBranchIndirect/kRet entries, ascending
   /// (dispatch appends monotonically; front() is the WFB frontier).
   std::vector<SeqNum> unresolved_branches_;
-  /// Seqs of kWaiting (dispatched, not yet issued) entries, ascending —
-  /// stage_issue walks these instead of the whole ROB. Its size is the
-  /// issue-queue occupancy.
-  std::vector<SeqNum> waiting_;
-  /// Earliest done_cycle over kIssued entries (lower bound; may be stale
-  /// low after a squash). stage_complete is a no-op until then.
+  /// Seqs of kWaiting entries whose operands are all ready, ascending.
+  /// Dispatch appends an entry born ready; wake_dependents inserts one
+  /// when its last operand arrives. stage_issue tries only these, so an
+  /// entry that cannot issue yet (a fence off the ROB head, a load behind
+  /// an unknown store address, a shadow-table stall) stays for a retry.
+  std::vector<SeqNum> ready_;
+  /// Seqs of kIssued entries, ascending (issue inserts). stage_complete
+  /// retires from this list only.
+  std::vector<SeqNum> in_flight_;
+  /// Issue-queue occupancy: kWaiting entries, ready or not.
+  int waiting_ = 0;
+  /// Earliest done_cycle over in_flight_ (lower bound; may be stale low
+  /// after a squash). stage_complete is a no-op until then.
   Cycle next_complete_cycle_ = kNeverCycle;
-  /// WFB sweep hint: every live entry with seq below this is already
-  /// shadow_promoted, so the promotion sweep starts here.
+  /// WFB frontier high-water mark: the frontier has already passed every
+  /// live seq below this. An entry it passed while still kWaiting, or as
+  /// an unresolved jump/call, is promoted later: its issue or resolve
+  /// event queues it on wfb_pending_.
   SeqNum promoted_below_seq_ = 0;
+  /// Seqs the frontier passed earlier that became promotable since the
+  /// last stage_commit (unordered until it sorts them).
+  std::vector<SeqNum> wfb_pending_;
 
   static constexpr Cycle kNeverCycle = ~Cycle{0};
 

@@ -399,7 +399,16 @@ int main(int argc, char** argv) {
   std::uint64_t total_instrs = 0;
   double total_ms = 0.0;
   for (const Cell& cell : cells) {
-    const CellResult r = run_cell(cell, instrs, repeat, sampling, overrides);
+    // Inputs only a run can check (a trace:PATH file that is missing or
+    // malformed) fail here, after the eager name checks above.
+    CellResult r;
+    try {
+      r = run_cell(cell, instrs, repeat, sampling, overrides);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "bad cell %s/%s/%s: %s\n", cell.workload.c_str(),
+                   cell.policy.c_str(), cell.preset.c_str(), e.what());
+      return 2;
+    }
     const bool full_budget = std::strcmp(r.stop, "max-instrs") == 0;
     const std::string mode_col =
         cell.cores > 1 ? cell.mode + "/c" + std::to_string(cell.cores)

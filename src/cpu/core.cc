@@ -277,9 +277,7 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
   next_seq_ = seq + 1;
   truncate_above(ready_, seq);
   truncate_above(in_flight_, seq);
-  wfb_pending_.erase(std::remove_if(wfb_pending_.begin(), wfb_pending_.end(),
-                                    [seq](SeqNum s) { return s > seq; }),
-                     wfb_pending_.end());
+  truncate_above(wfb_pending_, seq);
   // The WFB frontier mark may have advanced past `seq` (the squashed
   // suffix was passed); instructions dispatched after the rewind reuse
   // those seqs, so clamp the mark or the frontier would never pass them —
@@ -343,7 +341,6 @@ void Core::stage_commit() {
                                 ? rob_.back().seq + 1
                                 : unresolved_branches_.front();
     assert(frontier >= promoted_below_seq_);
-    std::sort(wfb_pending_.begin(), wfb_pending_.end());
     for (const SeqNum seq : wfb_pending_) promote_shadow(*find_by_seq(seq));
     wfb_pending_.clear();
     for (SeqNum seq = std::max(promoted_below_seq_, front_seq);
@@ -456,7 +453,7 @@ bool Core::older_unresolved_branch_exists(SeqNum seq) const {
 
 void Core::note_promotable(const DynInst& di) {
   // promoted_below_seq_ stays 0 unless the policy promotes at resolution.
-  if (di.seq < promoted_below_seq_) wfb_pending_.push_back(di.seq);
+  if (di.seq < promoted_below_seq_) insert_seq(wfb_pending_, di.seq);
 }
 
 void Core::erase_seq(std::vector<SeqNum>& seqs, SeqNum seq) {

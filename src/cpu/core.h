@@ -424,7 +424,7 @@ class Core {
   /// event queues it on wfb_pending_.
   SeqNum promoted_below_seq_ = 0;
   /// Seqs the frontier passed earlier that became promotable since the
-  /// last stage_commit (unordered until it sorts them).
+  /// last stage_commit, ascending.
   std::vector<SeqNum> wfb_pending_;
 
   static constexpr Cycle kNeverCycle = ~Cycle{0};

@@ -10,6 +10,8 @@
 #include <cassert>
 #include <cstddef>
 #include <iterator>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -18,7 +20,8 @@ namespace safespec {
 /// Bounded double-ended queue over a power-of-two slab. The caller never
 /// pushes past `capacity()` (the pipeline checks occupancy first; push
 /// asserts in debug builds). T must be default-constructible (slots are
-/// value-initialized up front) and move-assignable.
+/// value-initialized up front) and move-assignable; emplace_back()
+/// re-creates a slot's object in place.
 template <typename T>
 class RingBuffer {
  public:
@@ -52,6 +55,17 @@ class RingBuffer {
     assert(size_ < slab_.size());
     slab_[(head_ + size_) & mask_] = std::move(value);
     ++size_;
+  }
+
+  /// Appends a value-initialized element and returns it, so the caller
+  /// fills the slot in place instead of building a T and moving it in.
+  T& emplace_back() {
+    assert(size_ < slab_.size());
+    T* slot = &slab_[(head_ + size_) & mask_];
+    std::destroy_at(slot);
+    ::new (static_cast<void*>(slot)) T();
+    ++size_;
+    return *slot;
   }
 
   void pop_front() {

@@ -60,18 +60,21 @@ class Histogram {
     bucket_add(sample, 1);
   }
 
-  /// Equivalent to record(), but run-length batched for per-cycle
-  /// sampling loops: consecutive equal samples cost one increment and are
-  /// folded into the buckets lazily (every reader flushes first), so the
-  /// resulting statistics are bit-identical to per-sample record() calls.
-  void record_run(std::uint64_t sample) {
+  /// Equivalent to `n` calls of record(sample), but run-length batched
+  /// for per-cycle sampling loops: consecutive equal samples cost one add
+  /// and are folded into the buckets lazily (every reader flushes first),
+  /// so the resulting statistics are bit-identical to per-sample record()
+  /// calls. A core that skips idle cycles records the skipped stretch as
+  /// one call.
+  void record_run(std::uint64_t sample, std::uint64_t n = 1) {
+    if (n == 0) return;
     if (run_len_ != 0 && sample == run_value_) {
-      ++run_len_;
+      run_len_ += n;
       return;
     }
     flush_run();
     run_value_ = sample;
-    run_len_ = 1;
+    run_len_ = n;
   }
 
   std::uint64_t count() const {

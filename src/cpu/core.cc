@@ -81,6 +81,7 @@ Core::Core(const CoreConfig& config, const isa::Program* program,
   ready_.reserve(static_cast<std::size_t>(config_.iq_entries));
   in_flight_.reserve(static_cast<std::size_t>(config_.rob_entries));
   wfb_pending_.reserve(static_cast<std::size_t>(config_.rob_entries));
+  stores_.reserve(static_cast<std::size_t>(config_.stq_entries));
   if (config_.dib_lines > 0) {
     std::size_t lines = 1;
     while (lines < static_cast<std::size_t>(config_.dib_lines)) lines *= 2;
@@ -138,11 +139,20 @@ StopReason Core::run(Cycle max_cycles, std::uint64_t max_instrs) {
       stop_reason_ = StopReason::kMaxInstrs;
       break;
     }
-    step();
+    // Jump over the cycles in which no stage can act, but never past the
+    // budget or the wedge backstop's cycle, so both fire where stepping
+    // would. A finished core takes its one last step as before.
+    const Cycle wake = std::min(
+        {next_event_cycle(), deadline, last_progress + kWedgeCycles + 1});
+    if (wake > cycle_ && !finished()) {
+      idle_to(wake);
+    } else {
+      step();
+    }
     if (stats_.committed_instrs != last_committed) {
       last_committed = stats_.committed_instrs;
       last_progress = cycle_;
-    } else if (cycle_ - last_progress > 100'000) {
+    } else if (cycle_ - last_progress > kWedgeCycles) {
       // Deadlock backstop: nothing committed for a long time. This only
       // fires on malformed programs (e.g. committed control flow ran off
       // the end of the text without a halt).
@@ -175,6 +185,49 @@ void Core::step() {
   }
   ++cycle_;
   ++stats_.cycles;
+}
+
+Cycle Core::next_event_cycle() const {
+  // Issue retries every ready entry each cycle, and WFB promotion runs
+  // at the next commit stage.
+  if (!ready_.empty() || !wfb_pending_.empty()) return cycle_;
+  Cycle next = next_complete_cycle_;
+  if (!rob_.empty()) {
+    if (promote_at_resolution_) {
+      const SeqNum frontier = unresolved_branches_.empty()
+                                  ? rob_.back().seq + 1
+                                  : unresolved_branches_.front();
+      if (frontier != promoted_below_seq_) return cycle_;
+    }
+    const DynInst& head = rob_.front();
+    if (head.state == InstState::kDone) {
+      next = std::min(
+          next, head.done_cycle + static_cast<Cycle>(config_.commit_delay));
+    }
+  }
+  // A fetch-buffer head held back by a structural hazard waits for an
+  // issue or commit, which the bounds above already cover.
+  if (!fetch_queue_.empty() && !dispatch_blocked(fetch_queue_.front())) {
+    next = std::min(next, fetch_queue_.front().ready_at);
+  }
+  if (!halted_ && !fetch_stalled_ &&
+      static_cast<int>(fetch_queue_.size()) < kFetchBufferCap) {
+    next = std::min(next, fetch_busy_until_);
+  }
+  return std::max(next, cycle_);
+}
+
+void Core::idle_to(Cycle target) {
+  assert(target >= cycle_ && target <= next_event_cycle());
+  const Cycle skipped = target - cycle_;
+  if (protection_on()) {
+    shadow_dcache_.sample_occupancy(skipped);
+    shadow_icache_.sample_occupancy(skipped);
+    shadow_dtlb_.sample_occupancy(skipped);
+    shadow_itlb_.sample_occupancy(skipped);
+  }
+  cycle_ = target;
+  stats_.cycles += skipped;
 }
 
 // --------------------------------------------------------------------------
@@ -264,7 +317,6 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
     release_shadow(victim);
     if (victim.is_branch()) erase_seq(unresolved_branches_, victim.seq);
     if (victim.is_load()) --loads_in_flight_;
-    if (victim.is_store()) --stores_in_flight_;
     if (victim.state == InstState::kWaiting) --waiting_;
     if (victim.inst.op == OpClass::kFence) fence_active_ = false;
     ++stats_.squashed_instrs;
@@ -278,6 +330,7 @@ void Core::squash_younger_than(SeqNum seq, Addr redirect_pc) {
   truncate_above(ready_, seq);
   truncate_above(in_flight_, seq);
   truncate_above(wfb_pending_, seq);
+  truncate_above(stores_, seq);
   // The WFB frontier mark may have advanced past `seq` (the squashed
   // suffix was passed); instructions dispatched after the rewind reuse
   // those seqs, so clamp the mark or the frontier would never pass them —
@@ -386,7 +439,8 @@ void Core::commit_one(DynInst& head) {
       // which is why stores need no shadow structure (§IV-B).
       mem_->write64(head.physical_addr, head.src2_value);
       hierarchy_.fill_all_levels(line_of(head.physical_addr), Side::kData);
-      --stores_in_flight_;
+      assert(stores_.front() == head.seq);
+      stores_.erase(stores_.begin());
       ++stats_.committed_stores;
       break;
     case OpClass::kLoad:
@@ -430,11 +484,12 @@ void Core::raise_fault(DynInst& head) {
   // dependent gadget load's line dies here too, with the rest of the
   // younger window).
   release_shadow(head);
-  // The head is kDone, so of the worklists only unresolved_branches_ can
-  // hold it (wfb_pending_ was drained at the top of stage_commit).
+  // The head is kDone, so of the scheduler worklists only
+  // unresolved_branches_ can hold it (wfb_pending_ was drained at the top
+  // of stage_commit); a head store is the front of stores_.
   if (head.is_branch()) erase_seq(unresolved_branches_, head.seq);
   if (head.is_load()) --loads_in_flight_;
-  if (head.is_store()) --stores_in_flight_;
+  if (head.is_store()) stores_.erase(stores_.begin());
   const SeqNum seq = head.seq;
   const auto handler = program_->fault_handler();
   squash_younger_than(seq, handler.value_or(0));
@@ -655,23 +710,16 @@ bool Core::execute(DynInst& di) {
     case OpClass::kLoad: {
       di.effective_addr = di.src1_value + static_cast<std::uint64_t>(di.inst.imm);
 
-      // Memory ordering: scan older stores. Any older store with an
-      // unknown address blocks us (conservative disambiguation); the
-      // youngest older store to the same word forwards its data. The scan
-      // is skipped outright when no store is in flight anywhere.
+      // Memory ordering: visit the older stores, oldest first. Any with
+      // an unknown address blocks us (conservative disambiguation); the
+      // youngest one to the same word forwards its data.
       const Addr word = di.effective_addr >> 3;
       const DynInst* forwarding_store = nullptr;
-      if (stores_in_flight_ > 0) {
-        const std::size_t older =
-            static_cast<std::size_t>(di.seq - rob_.front().seq);
-        for (std::size_t i = 0; i < older; ++i) {
-          const DynInst& other = rob_[i];
-          if (!other.is_store()) continue;
-          if (other.state == InstState::kWaiting) {
-            return false;  // addr unknown
-          }
-          if ((other.effective_addr >> 3) == word) forwarding_store = &other;
-        }
+      for (const SeqNum seq : stores_) {
+        if (seq > di.seq) break;
+        const DynInst& store = *find_by_seq(seq);
+        if (store.state == InstState::kWaiting) return false;  // addr unknown
+        if ((store.effective_addr >> 3) == word) forwarding_store = &store;
       }
       if (forwarding_store != nullptr) {
         di.result = forwarding_store->src2_value;
@@ -960,23 +1008,22 @@ void Core::wake_dependents(const DynInst& producer) {
   }
 }
 
+bool Core::dispatch_blocked(const FetchedInst& fi) const {
+  return fence_active_ || rob_full() || waiting_ >= config_.iq_entries ||
+         (fi.inst.op == OpClass::kLoad &&
+          loads_in_flight_ >= config_.ldq_entries) ||
+         (fi.inst.op == OpClass::kStore &&
+          static_cast<int>(stores_.size()) >= config_.stq_entries);
+}
+
 void Core::stage_dispatch() {
   for (int n = 0; n < config_.issue_width; ++n) {
     if (fetch_queue_.empty()) return;
-    FetchedInst& fi = fetch_queue_.front();
-    if (fi.ready_at > cycle_) return;
-    if (fence_active_) return;
-    if (rob_full() || waiting_ >= config_.iq_entries) return;
-    if (fi.inst.op == OpClass::kLoad &&
-        loads_in_flight_ >= config_.ldq_entries) {
-      return;
-    }
-    if (fi.inst.op == OpClass::kStore &&
-        stores_in_flight_ >= config_.stq_entries) {
-      return;
-    }
+    const FetchedInst& fi = fetch_queue_.front();
+    if (fi.ready_at > cycle_ || dispatch_blocked(fi)) return;
 
-    DynInst di;
+    // Filled in its ROB slot: a DynInst is ~300 bytes.
+    DynInst& di = rob_.emplace_back();
     di.seq = next_seq_++;
     di.pc = fi.pc;
     di.inst = fi.inst;
@@ -1015,13 +1062,12 @@ void Core::stage_dispatch() {
       unresolved_branches_.push_back(di.seq);  // seqs ascend: stays sorted
     }
     if (di.is_load()) ++loads_in_flight_;
-    if (di.is_store()) ++stores_in_flight_;
+    if (di.is_store()) stores_.push_back(di.seq);  // seqs ascend: sorted
     if (di.inst.op == OpClass::kFence) fence_active_ = true;
     ++waiting_;
     // Seqs ascend, so appending keeps ready_ sorted.
     if (di.src1_ready && di.src2_ready) ready_.push_back(di.seq);
 
-    rob_.push_back(std::move(di));
     fetch_queue_.pop_front();
   }
 }
@@ -1226,12 +1272,12 @@ void Core::restart_at(Addr pc) {
   ready_.clear();
   in_flight_.clear();
   wfb_pending_.clear();
+  stores_.clear();
   waiting_ = 0;
   next_complete_cycle_ = kNeverCycle;
   promoted_below_seq_ = 0;
   std::fill(std::begin(rename_), std::end(rename_), SeqNum{0});
   loads_in_flight_ = 0;
-  stores_in_flight_ = 0;
   fence_active_ = false;
   fetch_stalled_ = false;
   fetch_busy_until_ = cycle_ + 1;

@@ -192,6 +192,31 @@ class Core {
   /// Single-steps one cycle (tests drive this directly).
   void step();
 
+  /// Returned by next_event_cycle() when no stage can ever act again.
+  static constexpr Cycle kNeverCycle = ~Cycle{0};
+  /// run()'s wedge backstop: a core that commits nothing for longer than
+  /// this many cycles is stopped (only malformed programs get there).
+  static constexpr Cycle kWedgeCycles = 100'000;
+
+  /// The earliest cycle at or after now() at which any stage can change
+  /// state. Contract: no stage changes any state before the returned
+  /// cycle — every step() until then only advances the cycle count and
+  /// records the unchanged shadow occupancies — so idle_to() may jump
+  /// straight to it. Returns now() when some stage has work this cycle
+  /// (an entry ready to issue, WFB promotions pending, a fetch-buffer
+  /// head that can dispatch, a ROB head due to retire); otherwise the
+  /// nearest of the next completion, the ROB head's retirement, the
+  /// fetch-buffer head's dispatch time and the end of a fetch miss;
+  /// kNeverCycle when none is pending. The answer is a lower bound: a
+  /// step at the returned cycle may still find nothing to do.
+  Cycle next_event_cycle() const;
+
+  /// Advances an idle core to `target` in one call, with exactly the
+  /// effect of stepping there: the cycle counts move and each shadow
+  /// occupancy histogram takes one sample per skipped cycle. `target`
+  /// must lie in [now(), next_event_cycle()].
+  void idle_to(Cycle target);
+
   bool halted() const { return halted_; }
   Cycle now() const { return cycle_; }
   int core_id() const { return core_id_; }
@@ -298,6 +323,10 @@ class Core {
   bool rob_full() const {
     return static_cast<int>(rob_.size()) >= config_.rob_entries;
   }
+  /// True when a structural hazard keeps `fi` out of the ROB whatever its
+  /// ready_at: an active fence, or a full ROB, IQ, LDQ or STQ. Each of
+  /// them clears only through an issue or a commit.
+  bool dispatch_blocked(const FetchedInst& fi) const;
   /// O(1): ROB sequence numbers are contiguous (dispatch appends
   /// next_seq_++; squash/commit only pop the ends), so an in-flight seq's
   /// slot is seq - rob_.front().seq.
@@ -418,6 +447,11 @@ class Core {
   /// Earliest done_cycle over in_flight_ (lower bound; may be stale low
   /// after a squash). stage_complete is a no-op until then.
   Cycle next_complete_cycle_ = kNeverCycle;
+  /// Seqs of the in-flight stores, ascending: the STQ. Dispatch appends,
+  /// the head store's commit or fault pops the front. A load checks only
+  /// the older stores on this list for an unknown address or a word to
+  /// forward from.
+  std::vector<SeqNum> stores_;
   /// WFB frontier high-water mark: the frontier has already passed every
   /// live seq below this. An entry it passed while still kWaiting, or as
   /// an unresolved jump/call, is promoted later: its issue or resolve
@@ -426,8 +460,6 @@ class Core {
   /// Seqs the frontier passed earlier that became promotable since the
   /// last stage_commit, ascending.
   std::vector<SeqNum> wfb_pending_;
-
-  static constexpr Cycle kNeverCycle = ~Cycle{0};
 
   // Rename: arch reg -> producing seq (0 = value lives in regs_).
   SeqNum rename_[kNumArchRegs] = {};
@@ -457,7 +489,6 @@ class Core {
   int pending_iline_ = -1;
   int pending_itlb_ = -1;
   int loads_in_flight_ = 0;         ///< LDQ occupancy
-  int stores_in_flight_ = 0;        ///< STQ occupancy
   bool fence_active_ = false;       ///< a kFence is in the ROB
   bool halted_ = false;
   StopReason stop_reason_ = StopReason::kMaxCycles;

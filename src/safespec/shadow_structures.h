@@ -179,11 +179,13 @@ class ShadowTable {
   /// the final commit/squash drain (a differential-harness invariant).
   bool empty() const { return live_count_ == 0; }
 
-  /// Cycle-granularity occupancy sample (Figs 6-9). Run-length batched:
+  /// Cycle-granularity occupancy sample (Figs 6-9), taken for `cycles`
+  /// consecutive cycles at the current occupancy. Run-length batched:
   /// occupancy rarely changes between consecutive cycles, so most samples
-  /// cost one compare-and-increment (see Histogram::record_run).
-  void sample_occupancy() {
-    stats_.occupancy.record_run(static_cast<std::uint64_t>(live_count_));
+  /// cost one compare-and-add (see Histogram::record_run).
+  void sample_occupancy(std::uint64_t cycles = 1) {
+    stats_.occupancy.record_run(static_cast<std::uint64_t>(live_count_),
+                                cycles);
   }
 
   ShadowStats& stats() { return stats_; }

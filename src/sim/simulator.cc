@@ -113,7 +113,7 @@ cpu::StopReason Simulator::run_multi(Cycle max_cycles,
   const std::uint64_t committed_at_start = primary.stats().committed_instrs;
 
   // Per-core scheduler state; the wedge backstop mirrors Core::run's
-  // (nothing committed for a long time => malformed program).
+  // (nothing committed for kWedgeCycles => malformed program).
   struct Sched {
     bool done = false;
     Cycle last_progress = 0;
@@ -140,6 +140,30 @@ cpu::StopReason Simulator::run_multi(Cycle max_cycles,
     if (primary.stats().committed_instrs - committed_at_start >= max_instrs) {
       return cpu::StopReason::kMaxInstrs;
     }
+    // When every live core is idle, jump the whole schedule to the first
+    // schedule cycle at which one can act, clamped to the budget and to
+    // each core's wedge-backstop cycle (which is then stepped, as below).
+    // Live cores step in lockstep, so each keeps a fixed offset between
+    // its own cycle and t.
+    Cycle wake = max_cycles;
+    for (std::size_t i = 0; i < ctx_.size(); ++i) {
+      if (sched[i].done) continue;
+      const cpu::Core& core = *ctx_[i]->core;
+      const Cycle next = core.next_event_cycle();
+      if (next != cpu::Core::kNeverCycle) {
+        wake = std::min(wake, t + (next - core.now()));
+      }
+      wake = std::min(wake,
+                      sched[i].last_progress + cpu::Core::kWedgeCycles + 1);
+    }
+    if (wake > t) {
+      for (std::size_t i = 0; i < ctx_.size(); ++i) {
+        cpu::Core& core = *ctx_[i]->core;
+        if (!sched[i].done) core.idle_to(core.now() + (wake - t));
+      }
+      t = wake;
+      continue;
+    }
     for (std::size_t i = 0; i < ctx_.size(); ++i) {
       if (sched[i].done) continue;
       cpu::Core& core = *ctx_[i]->core;
@@ -148,7 +172,7 @@ cpu::StopReason Simulator::run_multi(Cycle max_cycles,
       if (committed != sched[i].last_committed) {
         sched[i].last_committed = committed;
         sched[i].last_progress = t;
-      } else if (t - sched[i].last_progress > 100'000) {
+      } else if (t - sched[i].last_progress > cpu::Core::kWedgeCycles) {
         sched[i].done = true;  // wedged
       }
       if (core.finished()) sched[i].done = true;

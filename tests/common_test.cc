@@ -185,7 +185,8 @@ TEST(HistogramTest, ResetDropsPendingRun) {
 
 TEST(HistogramProperty, RecordRunMatchesRecord) {
   // record_run is the occupancy-sampling fast path; any interleaving of
-  // record/record_run must produce statistics identical to plain record.
+  // record/record_run(sample, n) must produce statistics identical to
+  // plain record called n times.
   Histogram batched, plain;
   Rng rng(2024);
   std::uint64_t value = 0;
@@ -193,12 +194,23 @@ TEST(HistogramProperty, RecordRunMatchesRecord) {
     // Mostly repeat the previous sample (realistic occupancy runs),
     // sometimes jump, sometimes go through the unbatched entry point.
     if (rng.below(8) == 0) value = rng.below(64);
-    if (rng.below(50) == 0) {
-      batched.record(value);
-    } else {
-      batched.record_run(value);
+    // Run lengths: mostly one sample, sometimes a skipped idle stretch,
+    // now and then an empty run.
+    std::uint64_t n = 1;
+    const std::uint64_t length_kind = rng.below(16);
+    if (length_kind == 0) {
+      n = 0;
+    } else if (length_kind < 4) {
+      n = 1 + rng.below(500);
     }
-    plain.record(value);
+    if (rng.below(50) == 0) {
+      for (std::uint64_t k = 0; k < n; ++k) batched.record(value);
+    } else if (n == 1 && rng.below(2) == 0) {
+      batched.record_run(value);
+    } else {
+      batched.record_run(value, n);
+    }
+    for (std::uint64_t k = 0; k < n; ++k) plain.record(value);
     if (i % 1000 == 0) {
       // Mid-stream reads must flush the pending run, not lose it.
       EXPECT_EQ(batched.count(), plain.count());
@@ -210,6 +222,18 @@ TEST(HistogramProperty, RecordRunMatchesRecord) {
   for (double f : {0.1, 0.5, 0.9, 0.99, 0.9999, 1.0}) {
     EXPECT_EQ(batched.percentile(f), plain.percentile(f)) << "fraction " << f;
   }
+}
+
+TEST(HistogramTest, EmptyRunRecordsNothing) {
+  Histogram h;
+  h.record_run(7, 0);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.max(), 0u);
+  h.record_run(3, 4);
+  h.record_run(3, 0);
+  h.record_run(5, 2);
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_DOUBLE_EQ(h.mean(), 22.0 / 6.0);
 }
 
 TEST(HistogramTest, MergeFlushesPendingRuns) {

@@ -967,8 +967,10 @@ Observed observe(const cpu::Core& core) {
   add("fetch_misses", s.fetch_misses);
   add("dib_hits", s.dib_hits);
   add("dib_fills", s.dib_fills);
-  observe_histogram(out, "shadow_dcache", core.shadow_dcache().stats().occupancy);
-  observe_histogram(out, "shadow_icache", core.shadow_icache().stats().occupancy);
+  observe_histogram(out, "shadow_dcache",
+                    core.shadow_dcache().stats().occupancy);
+  observe_histogram(out, "shadow_icache",
+                    core.shadow_icache().stats().occupancy);
   observe_histogram(out, "shadow_dtlb", core.shadow_dtlb().stats().occupancy);
   observe_histogram(out, "shadow_itlb", core.shadow_itlb().stats().occupancy);
   observe_cache(out, "l1d", core.hierarchy().l1d());
@@ -1131,9 +1133,15 @@ sim::Simulator chase_sim(const cpu::CoreConfig& config) {
 }
 
 TEST(IdleSkip, CycleBudgetInsideAnIdleGapStopsOnTheBudget) {
-  // 700 cycles in, the chase waits on its second or third cold link.
+  // 700 cycles in, the chase waits on a cold link.
   constexpr Cycle kBudget = 700;
   for (const int cores : {1, 2}) {
+    {
+      // The budget does end inside an idle gap.
+      auto probe = chase_sim(idle_skip_config("skylake", "WFC", cores));
+      while (probe.core().now() < kBudget - 1) probe.core().step();
+      EXPECT_GT(probe.core().next_event_cycle(), kBudget) << cores;
+    }
     auto s = chase_sim(idle_skip_config("skylake", "WFC", cores));
     const sim::SimResult r = s.run(kBudget);
     EXPECT_EQ(r.stop, cpu::StopReason::kMaxCycles) << cores;

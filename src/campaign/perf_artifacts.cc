@@ -38,7 +38,7 @@ std::vector<PerfCell> cells_of(const json::Value& doc,
     // members; they are all detailed single-core cells.
     if (const json::Value* mode = v.find("mode")) c.mode = mode->text;
     if (const json::Value* cores = v.find("cores")) {
-      c.cores = static_cast<int>(json::as_u64(*cores, "cores"));
+      c.cores = json::as_int(*cores, "cores");
     }
     c.committed_instrs =
         json::as_u64(require(v, "committed_instrs", path), "committed_instrs");

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 
 #include "common/json.h"
 
@@ -31,12 +32,18 @@ std::uint64_t parse_u64_or_exit(const char* value, const char* flag) {
 
 int parse_int_or_exit(const char* value, const char* flag,
                       std::uint64_t max) {
-  const std::uint64_t v = parse_u64_or_exit(value, flag);
-  if (v > max) {
+  int v = 0;
+  try {
+    v = json::parse_int(value, flag);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+  if (static_cast<std::uint64_t>(v) > max) {
     std::fprintf(stderr, "%s=%s is out of range\n", flag, value);
     std::exit(2);
   }
-  return static_cast<int>(v);
+  return v;
 }
 
 FlagSet& FlagSet::value(const char* name, ValueHandler handler,

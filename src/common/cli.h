@@ -30,7 +30,8 @@ std::vector<std::string> split_csv(const std::string& text);
 /// exits(2); `flag` names the flag in the message.
 std::uint64_t parse_u64_or_exit(const char* value, const char* flag);
 
-/// parse_u64_or_exit bounded to a sane int range (exit 2 past `max`).
+/// Strict int flag parsing (json::parse_int: nothing above INT_MAX
+/// wraps), bounded to a sane range: exit 2 past `max`.
 int parse_int_or_exit(const char* value, const char* flag,
                       std::uint64_t max = 10'000'000);
 

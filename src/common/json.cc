@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -194,11 +195,33 @@ std::uint64_t parse_u64(const std::string& token, const std::string& where) {
   return value;
 }
 
-std::uint64_t as_u64(const Value& v, const std::string& where) {
+int parse_int(const std::string& token, const std::string& where) {
+  const std::uint64_t value = parse_u64(token, where);
+  constexpr auto kMax = std::numeric_limits<int>::max();
+  if (value > static_cast<std::uint64_t>(kMax)) {
+    throw std::invalid_argument("\"" + where + "\" is out of range: \"" +
+                                token + "\" exceeds " +
+                                std::to_string(kMax));
+  }
+  return static_cast<int>(value);
+}
+
+namespace {
+/// The text of a number (or numeric string) value; throws otherwise.
+const std::string& number_text(const Value& v, const std::string& where) {
   if (v.kind != Value::Kind::kNumber && v.kind != Value::Kind::kString) {
     throw std::invalid_argument("expected a number for \"" + where + "\"");
   }
-  return parse_u64(v.text, where);
+  return v.text;
+}
+}  // namespace
+
+std::uint64_t as_u64(const Value& v, const std::string& where) {
+  return parse_u64(number_text(v, where), where);
+}
+
+int as_int(const Value& v, const std::string& where) {
+  return parse_int(number_text(v, where), where);
 }
 
 double as_double(const Value& v, const std::string& where) {
@@ -219,9 +242,7 @@ void read_u64(const Value& obj, const char* key, std::uint64_t& out) {
 }
 
 void read_int(const Value& obj, const char* key, int& out) {
-  if (const Value* v = obj.find(key)) {
-    out = static_cast<int>(as_u64(*v, key));
-  }
+  if (const Value* v = obj.find(key)) out = as_int(*v, key);
 }
 
 void read_double(const Value& obj, const char* key, double& out) {

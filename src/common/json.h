@@ -58,8 +58,13 @@ Value parse_file(const std::string& path);
 /// "123" or "0x7b" -> 123. Rejects signs, garbage and overflow; `where`
 /// names the field in the error message.
 std::uint64_t parse_u64(const std::string& token, const std::string& where);
+/// parse_u64 narrowed to int: anything above INT_MAX is rejected, naming
+/// `where` and the token as given, instead of wrapping (4294967298 would
+/// otherwise read as 2).
+int parse_int(const std::string& token, const std::string& where);
 
 std::uint64_t as_u64(const Value& v, const std::string& where);
+int as_int(const Value& v, const std::string& where);
 double as_double(const Value& v, const std::string& where);
 
 void read_u64(const Value& obj, const char* key, std::uint64_t& out);

@@ -543,7 +543,7 @@ void MachineSpec::set(const std::string& key_equals_value) {
 void MachineSpec::set(const std::string& key, const std::string& value) {
   cpu::CoreConfig& c = core;
   const auto u64 = [&] { return parse_u64(value, key); };
-  const auto to_int = [&] { return static_cast<int>(parse_u64(value, key)); };
+  const auto to_int = [&] { return json::parse_int(value, key); };
   const auto to_bool = [&] {
     if (value == "true" || value == "1") return true;
     if (value == "false" || value == "0") return false;

@@ -3,7 +3,9 @@
 // with a message listing what *is* registered).
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <stdexcept>
+#include <string>
 
 #include "isa/program.h"
 #include "safespec/policy.h"
@@ -322,6 +324,59 @@ TEST(MachineSpecSet, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(spec.set("shadow_dcache.full_policy=explode"),
                std::invalid_argument);
   EXPECT_THROW(spec.set("policy=no-such-policy"), std::out_of_range);
+}
+
+/// Requires `parse` to throw std::invalid_argument naming both `key` and
+/// the rejected `text` as given.
+template <typename Parse>
+void expect_out_of_range(Parse parse, const std::string& key,
+                         const std::string& text) {
+  try {
+    parse();
+    ADD_FAILURE() << key << "=" << text << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find(key), std::string::npos) << message;
+    EXPECT_NE(message.find(text), std::string::npos) << message;
+  }
+}
+
+TEST(MachineSpecSet, IntFieldsRejectValuesAboveIntMaxInsteadOfWrapping) {
+  // A bare static_cast<int> reads 2^32 + 64 as 64 and 2^32 + 2 as 2.
+  MachineSpec spec;
+  for (const auto& [key, text] :
+       {std::pair<std::string, std::string>{"rob_entries", "4294967360"},
+        {"cores", "4294967298"},
+        {"cores", "99999999999"},
+        {"l1d.ways", "2147483648"},
+        {"itlb.entries", "0x100000040"}}) {
+    expect_out_of_range([&] { spec.set(key + "=" + text); }, key, text);
+  }
+  EXPECT_EQ(spec.core.rob_entries, 224);
+  EXPECT_EQ(spec.core.cores, 1);
+  spec.set("rob_entries=2147483647");  // INT_MAX itself still parses
+  EXPECT_EQ(spec.core.rob_entries, INT_MAX);
+}
+
+TEST(MachineSpecJson, IntFieldsRejectValuesAboveIntMaxInsteadOfWrapping) {
+  expect_out_of_range(
+      [] {
+        MachineSpec::from_json(R"({"core": {"rob_entries": 4294967360}})");
+      },
+      "rob_entries", "4294967360");
+  expect_out_of_range(
+      [] { MachineSpec::from_json(R"({"cores": 4294967298})"); }, "cores",
+      "4294967298");
+  expect_out_of_range(
+      [] {
+        MachineSpec::from_json(
+            R"({"caches": {"l2": {"ways": "0x80000000"}}})");
+      },
+      "ways", "0x80000000");
+  EXPECT_EQ(
+      MachineSpec::from_json(R"({"core": {"rob_entries": 2147483647}})")
+          .core.rob_entries,
+      INT_MAX);
 }
 
 // ---- builder ---------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -184,8 +185,9 @@ std::vector<Cell> parse_cells(const std::string& text) {
     cell.preset = parts[2];
     for (std::size_t extra = 3; extra < parts.size(); ++extra) {
       if (parts[extra].rfind("cores=", 0) == 0) {
-        cell.cores = static_cast<int>(safespec::cli::parse_u64_or_exit(
-            parts[extra].c_str() + 6, "--cells cores"));
+        cell.cores = safespec::cli::parse_int_or_exit(
+            parts[extra].c_str() + 6, "--cells cores",
+            std::numeric_limits<int>::max());
       } else {
         cell.mode = parts[extra];
       }
@@ -334,8 +336,8 @@ int main(int argc, char** argv) {
   flags.u64("--instrs", &instrs)
       .value("--repeat",
              [&repeat](const char* value) {
-               repeat = static_cast<int>(
-                   cli::parse_u64_or_exit(value, "--repeat"));
+               repeat = cli::parse_int_or_exit(
+                   value, "--repeat", std::numeric_limits<int>::max());
                if (repeat < 1 || repeat > 100) {
                  std::fprintf(stderr, "--repeat must be in [1, 100]\n");
                  std::exit(2);

@@ -789,7 +789,7 @@ TEST(SchedulerPins, YoungestOlderStoreToTheWordForwards) {
         EXPECT_EQ(s.core().reg(9), 4u) << policy;
         EXPECT_EQ(s.peek(kDst), 3u) << policy;
       },
-      { {"SHARP", 1362, 14, 0, 0, 0, 0, 1361},
+      {{"SHARP", 1362, 14, 0, 0, 0, 0, 1361},
        {"WFB", 1923, 14, 6, 4, 1, 0, 1922},
        {"WFB-stall", 1923, 14, 6, 4, 1, 0, 1922},
        {"WFC", 1923, 14, 6, 4, 1, 0, 1922},
@@ -828,7 +828,7 @@ TEST(SchedulerPins, UnknownStoreAddressBetweenStoresToTheWord) {
         EXPECT_EQ(s.peek(kDst), 3u) << policy;
         EXPECT_EQ(s.peek(kOther), 2u) << policy;
       },
-      { {"SHARP", 1565, 11, 0, 0, 0, 0, 1565},
+      {{"SHARP", 1565, 11, 0, 0, 0, 0, 1565},
        {"WFB", 1732, 11, 7, 4, 1, 0, 1732},
        {"WFB-stall", 1732, 11, 7, 4, 1, 0, 1732},
        {"WFC", 1732, 11, 7, 4, 1, 0, 1732},
@@ -873,7 +873,7 @@ TEST(SchedulerPins, SquashedStoresNeverForwardToReusedSeqs) {
         EXPECT_EQ(s.peek(kDst), 7u) << policy;
         EXPECT_EQ(s.core().stats().mispredicts, 1u) << policy;
       },
-      { {"SHARP", 1560, 12, 0, 0, 0, 0, 1365},
+      {{"SHARP", 1560, 12, 0, 0, 0, 0, 1365},
        {"WFB", 1763, 12, 8, 5, 1, 0, 1366},
        {"WFB-stall", 1763, 12, 8, 5, 1, 0, 1366},
        {"WFC", 1763, 12, 8, 5, 1, 0, 1763},
@@ -885,15 +885,29 @@ TEST(SchedulerPins, FaultingStoreAtRobHeadRunsTheHandler) {
   // A user store to a kernel page faults when it reaches the ROB head;
   // the younger store behind it is squashed. The handler's stores and
   // load reuse the squashed seqs, and its load must forward from the
-  // handler's own youngest store.
+  // handler's own youngest store. Before them the handler fills the
+  // whole STQ behind a chain of cold loads (long enough to fetch the
+  // handler's cold code lines meanwhile) and then starts one more cold
+  // load: an STQ slot the fault failed to free would hold the last filler
+  // store, and with it that load, until the chain commits (+389 cycles
+  // when the fault leaves the STQ count one too high).
   constexpr Addr kKernel = 0x9C0000;
   constexpr Addr kDst = 0x9D0000;
+  constexpr Addr kSlow = 0xA30000;
+  constexpr Addr kSlow2 = 0xA40000;
+  constexpr int kChain = 24;  // one page per link, from kSlow
+  const int stq_entries = sim::skylake_config().stq_entries;
   ProgramBuilder b(0x1000);
   b.movi(1, kKernel).movi(7, kDst).movi(3, 0x33).movi(4, 0x44);
+  b.movi(12, kSlow).movi(15, kSlow2);
   b.store(3, 1, 0);  // faults at commit
   b.store(4, 7, 0);  // squashed with the fault
   b.halt();
-  b.label("handler").store(4, 7, 0).store(3, 7, 0).load(9, 7, 0).halt();
+  b.label("handler");
+  for (int i = 0; i < kChain; ++i) b.load(12, 12, 0);  // holds the head
+  for (int i = 1; i <= stq_entries; ++i) b.store(3, 7, 8 * i);
+  b.load(14, 15, 0);  // cold, overlapping the chain unless held back
+  b.store(4, 7, 0).store(3, 7, 0).load(9, 7, 0).halt();
   auto prog = b.build();
   prog.set_fault_handler(b.label_addr("handler"));
   prog.set_entry(0x1000);
@@ -902,6 +916,11 @@ TEST(SchedulerPins, FaultingStoreAtRobHeadRunsTheHandler) {
       [](sim::Simulator& s) {
         s.map_region(kKernel, kPageSize, memory::PagePerm::kKernel);
         s.map_region(kDst, kPageSize);
+        s.map_region(kSlow, kChain * kPageSize);
+        s.map_region(kSlow2, kPageSize);
+        for (Addr i = 0; i + 1 < kChain; ++i) {
+          s.poke(kSlow + i * kPageSize, kSlow + (i + 1) * kPageSize);
+        }
       },
       [](const sim::Simulator& s, const std::string& policy) {
         EXPECT_EQ(s.peek(kKernel), 0u) << policy;
@@ -909,12 +928,12 @@ TEST(SchedulerPins, FaultingStoreAtRobHeadRunsTheHandler) {
         EXPECT_EQ(s.peek(kDst), 0x33u) << policy;
         EXPECT_EQ(s.core().stats().faults, 1u) << policy;
       },
-      { {"SHARP", 1183, 8, 0, 0, 0, 0, 1183},
-       {"WFB", 1744, 8, 5, 4, 1, 0, 1744},
-       {"WFB-stall", 1744, 8, 5, 4, 1, 0, 1744},
-       {"WFC", 2508, 8, 4, 9, 1, 0, 2508},
-       {"baseline", 1183, 8, 0, 0, 0, 0, 1183},
-       {"detect-only", 1183, 8, 0, 0, 0, 0, 1183}});
+      {{"SHARP", 6339, 91, 0, 0, 0, 0, 6329},
+       {"WFB", 6972, 91, 42, 4, 6, 0, 6962},
+       {"WFB-stall", 6972, 91, 42, 4, 6, 0, 6962},
+       {"WFC", 7454, 91, 31, 9, 6, 0, 7444},
+       {"baseline", 6339, 91, 0, 0, 0, 0, 6329},
+       {"detect-only", 6339, 91, 0, 0, 0, 0, 6329}});
 }
 
 // ---- IdleSkip ---------------------------------------------------------------

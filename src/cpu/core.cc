@@ -141,7 +141,7 @@ StopReason Core::run(Cycle max_cycles, std::uint64_t max_instrs) {
     }
     // Jump over the cycles in which no stage can act, but never past the
     // budget or the wedge backstop's cycle, so both fire where stepping
-    // would. A finished core takes its one last step as before.
+    // would. A finished core is stepped once and stopped below.
     const Cycle wake = std::min(
         {next_event_cycle(), deadline, last_progress + kWedgeCycles + 1});
     if (wake > cycle_ && !finished()) {
@@ -206,7 +206,7 @@ Cycle Core::next_event_cycle() const {
     }
   }
   // A fetch-buffer head held back by a structural hazard waits for an
-  // issue or commit, which the bounds above already cover.
+  // issue, commit or squash, which the bounds above already cover.
   if (!fetch_queue_.empty() && !dispatch_blocked(fetch_queue_.front())) {
     next = std::min(next, fetch_queue_.front().ready_at);
   }

@@ -324,8 +324,8 @@ class Core {
     return static_cast<int>(rob_.size()) >= config_.rob_entries;
   }
   /// True when a structural hazard keeps `fi` out of the ROB whatever its
-  /// ready_at: an active fence, or a full ROB, IQ, LDQ or STQ. Each of
-  /// them clears only through an issue or a commit.
+  /// ready_at: an active fence, or a full ROB, IQ, LDQ or STQ. Each
+  /// clears only through an issue, a commit or a squash.
   bool dispatch_blocked(const FetchedInst& fi) const;
   /// O(1): ROB sequence numbers are contiguous (dispatch appends
   /// next_seq_++; squash/commit only pop the ends), so an in-flight seq's

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -942,29 +943,34 @@ TEST(SchedulerPins, FaultingStoreAtRobHeadRunsTheHandler) {
 // Core::step() calls, one per cycle: every statistic the run produces,
 // including the per-cycle shadow occupancy histograms, must match.
 
-/// Every observable a run leaves on one core, by name.
-using Observed = std::vector<std::pair<std::string, double>>;
+/// Every observable a run leaves on one core, by name. Doubles are kept
+/// as their bit patterns, so the comparison is exact.
+using Observed = std::vector<std::pair<std::string, std::uint64_t>>;
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
 
 void observe_histogram(Observed& out, const std::string& name,
                        const Histogram& h) {
-  out.emplace_back(name + ".count", static_cast<double>(h.count()));
-  out.emplace_back(name + ".mean", h.mean());
-  out.emplace_back(name + ".max", static_cast<double>(h.max()));
-  out.emplace_back(name + ".p9999", static_cast<double>(h.percentile(0.9999)));
+  out.emplace_back(name + ".count", h.count());
+  out.emplace_back(name + ".mean", bits_of(h.mean()));
+  out.emplace_back(name + ".max", h.max());
+  out.emplace_back(name + ".p9999", h.percentile(0.9999));
 }
 
 void observe_cache(Observed& out, const std::string& name,
                    const memory::Cache& cache) {
-  out.emplace_back(name + ".hits",
-                   static_cast<double>(cache.stats().hits.value()));
-  out.emplace_back(name + ".misses",
-                   static_cast<double>(cache.stats().misses.value()));
+  out.emplace_back(name + ".hits", cache.stats().hits.value());
+  out.emplace_back(name + ".misses", cache.stats().misses.value());
 }
 
 Observed observe(const cpu::Core& core) {
   Observed out;
   const auto add = [&out](const char* name, std::uint64_t v) {
-    out.emplace_back(name, static_cast<double>(v));
+    out.emplace_back(name, v);
   };
   const cpu::CoreStats& s = core.stats();
   add("now", core.now());
@@ -997,7 +1003,7 @@ Observed observe(const cpu::Core& core) {
   observe_cache(out, "l3", core.hierarchy().l3());
   for (int r = 0; r < kNumArchRegs; ++r) {
     out.emplace_back("r" + std::to_string(r),
-                     static_cast<double>(core.reg(static_cast<RegIndex>(r))));
+                     core.reg(static_cast<RegIndex>(r)));
   }
   return out;
 }

@@ -4,12 +4,13 @@
 
 namespace safespec::predictor {
 
-Btb::Btb(const BtbConfig& config)
-    : config_(config), num_sets_(config.num_sets()) {
+Btb::Btb(const BtbConfig& config) : config_(config) {
+  // Checked before num_sets() divides by ways.
   if (config_.entries <= 0 || config_.ways <= 0 ||
       config_.entries % config_.ways != 0) {
     throw std::invalid_argument("Btb: entries must divide evenly into ways");
   }
+  num_sets_ = config_.num_sets();
   entries_.resize(static_cast<std::size_t>(config_.entries));
 }
 

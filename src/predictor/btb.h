@@ -49,7 +49,7 @@ class Btb {
   }
 
   BtbConfig config_;
-  int num_sets_;
+  int num_sets_ = 0;
   std::vector<Entry> entries_;
   std::uint64_t tick_ = 0;
 };

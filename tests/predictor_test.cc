@@ -3,6 +3,8 @@
 // and the adversarial poisoning API the threat model grants.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "predictor/branch_predictor.h"
 #include "predictor/btb.h"
 #include "predictor/predictor_unit.h"
@@ -98,6 +100,11 @@ TEST(Perceptron, LearnsHistoryCorrelation) {
 }
 
 // ---- BTB ---------------------------------------------------------------------
+
+TEST(BtbTest, RejectsZeroWaysBeforeDividingByThem) {
+  EXPECT_THROW(Btb({.entries = 64, .ways = 0}), std::invalid_argument);
+  EXPECT_THROW(Btb({.entries = 64, .ways = 3}), std::invalid_argument);
+}
 
 TEST(BtbTest, MissThenUpdateThenHit) {
   Btb btb({.entries = 64, .ways = 4});

@@ -1,16 +1,16 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <cstring>
-#include <iterator>
+#include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "common/json.h"
 #include "common/registry.h"
 #include "safespec/policy.h"
-#include "sim/sim_config.h"
 
 namespace safespec::sim {
 
@@ -20,68 +20,6 @@ namespace {
 // common/json.h, shared with the fuzzing subsystem's FuzzSpec documents.
 using Json = json::Value;
 using JsonWriter = json::Writer;
-using json::parse_u64;
-using json::read_bool;
-using json::read_int;
-using json::read_string;
-using json::read_u64;
-
-/// Cycle is an alias of std::uint64_t; named reader kept for the call
-/// sites that document the field as a latency.
-void read_cycle(const Json& obj, const char* key, Cycle& out) {
-  read_u64(obj, key, out);
-}
-
-shadow::FullPolicy parse_full_policy(const std::string& text) {
-  if (text == "drop") return shadow::FullPolicy::kDrop;
-  if (text == "stall") return shadow::FullPolicy::kStall;
-  throw std::invalid_argument("unknown full_policy \"" + text +
-                              "\" (expected drop or stall)");
-}
-
-predictor::DirectionKind parse_direction_kind(const std::string& text) {
-  if (text == "bimodal") return predictor::DirectionKind::kBimodal;
-  if (text == "gshare") return predictor::DirectionKind::kGshare;
-  if (text == "perceptron") return predictor::DirectionKind::kPerceptron;
-  throw std::invalid_argument("unknown predictor direction \"" + text +
-                              "\" (expected bimodal, gshare or perceptron)");
-}
-
-const char* direction_kind_name(predictor::DirectionKind kind) {
-  switch (kind) {
-    case predictor::DirectionKind::kBimodal: return "bimodal";
-    case predictor::DirectionKind::kGshare: return "gshare";
-    case predictor::DirectionKind::kPerceptron: return "perceptron";
-  }
-  return "?";
-}
-
-void read_cache(const Json& parent, const char* key,
-                memory::CacheConfig& cache) {
-  if (const Json* v = parent.find(key)) {
-    read_u64(*v, "size_bytes", cache.size_bytes);
-    read_int(*v, "ways", cache.ways);
-    read_int(*v, "line_bytes", cache.line_bytes);
-    read_cycle(*v, "hit_latency", cache.hit_latency);
-  }
-}
-
-void read_tlb(const Json& parent, const char* key, memory::TlbConfig& tlb) {
-  if (const Json* v = parent.find(key)) {
-    read_int(*v, "entries", tlb.entries);
-    read_int(*v, "ways", tlb.ways);
-  }
-}
-
-void read_shadow(const Json& parent, const char* key,
-                 shadow::ShadowConfig& config) {
-  if (const Json* v = parent.find(key)) {
-    read_int(*v, "entries", config.entries);
-    std::string full;
-    read_string(*v, "full_policy", full);
-    if (!full.empty()) config.full_policy = parse_full_policy(full);
-  }
-}
 
 // ---- preset registry -------------------------------------------------------
 
@@ -169,6 +107,305 @@ NamedRegistry<std::function<MachineSpec()>>& preset_registry() {
   return *r;
 }
 
+// ---- the field table -------------------------------------------------------
+//
+// Every scalar field of a MachineSpec is one row below: its dotted JSON
+// path, its --set key, where it lives, and the single-field range that
+// validate() enforces. to_json, from_json, set and validate all walk the
+// table, so both spellings cover every field by construction.
+
+/// The policy name: a string checked against the policy registry as it
+/// is parsed, so an unknown name lists the registered ones.
+struct PolicyName {
+  std::string* name;
+};
+
+/// Where one field lives inside a MachineSpec. The alternative decides
+/// how the field is parsed, printed and range-checked.
+using FieldRef = std::variant<int*, std::uint64_t*, bool*, std::string*,
+                              PolicyName, shadow::FullPolicy*,
+                              predictor::DirectionKind*>;
+
+constexpr std::uint64_t kNoMax = std::numeric_limits<std::uint64_t>::max();
+
+struct Field {
+  std::string path;  ///< dotted JSON path: "caches.l1d.ways"
+  std::string key;   ///< --set key: "l1d.ways"
+  std::function<FieldRef(MachineSpec&)> ref;
+  std::uint64_t min = 0;  ///< validate()'s inclusive range (numeric rows)
+  std::uint64_t max = kNoMax;
+};
+
+/// Every row, in to_json order; built once.
+const std::vector<Field>& fields() {
+  static const std::vector<Field> table = [] {
+    std::vector<Field> t;
+    // group(path, key, members...) adds the fields of the struct reached
+    // from a MachineSpec through `members`: field `name` gets the JSON
+    // path `path + name` and the --set key `key + name`.
+    const auto group = [&t](std::string path, std::string key,
+                            auto... members) {
+      return [&t, path, key, members...](const char* name, auto member,
+                                         std::uint64_t min = 0,
+                                         std::uint64_t max = kNoMax) {
+        t.push_back({path + name, key + name,
+                     [=](MachineSpec& s) -> FieldRef {
+                       return &((s .* ... .* members).*member);
+                     },
+                     min, max});
+      };
+    };
+    using C = cpu::CoreConfig;
+    using M = MachineSpec;
+    t.push_back({"policy", "policy", [](M& s) -> FieldRef {
+                   return PolicyName{&s.core.policy};
+                 }});
+    const auto spec = group("", "");
+    spec("allow_undersized_shadows", &M::allow_undersized_shadows);
+    spec("map_text", &M::map_text);
+    spec("trace", &M::trace);
+    group("", "", &M::core)("cores", &C::cores, 1, 64);
+
+    const auto core = group("core.", "", &M::core);
+    core("fetch_width", &C::fetch_width, 1);
+    core("issue_width", &C::issue_width, 1);
+    core("commit_width", &C::commit_width, 1);
+    core("iq_entries", &C::iq_entries, 1);
+    core("rob_entries", &C::rob_entries, 1);
+    core("ldq_entries", &C::ldq_entries, 1);
+    core("stq_entries", &C::stq_entries, 1);
+    core("fetch_to_dispatch_delay", &C::fetch_to_dispatch_delay);
+    core("commit_delay", &C::commit_delay);
+    core("dib_lines", &C::dib_lines);
+    core("alu_latency", &C::alu_latency);
+    core("mul_latency", &C::mul_latency);
+    core("div_latency", &C::div_latency);
+    core("shadow_hit_latency", &C::shadow_hit_latency);
+    core("sharp_alarm_threshold", &C::sharp_alarm_threshold, 1);
+    core("sharp_alarm_epoch", &C::sharp_alarm_epoch, 1);
+
+    using memory::CacheConfig, memory::HierarchyConfig;
+    const std::pair<std::string, CacheConfig HierarchyConfig::*> caches[] = {
+        {"l1i", &HierarchyConfig::l1i},
+        {"l1d", &HierarchyConfig::l1d},
+        {"l2", &HierarchyConfig::l2},
+        {"l3", &HierarchyConfig::l3}};
+    for (const auto& [name, level] : caches) {
+      const auto cache = group("caches." + name + ".", name + ".", &M::core,
+                               &C::hierarchy, level);
+      cache("size_bytes", &CacheConfig::size_bytes);
+      cache("ways", &CacheConfig::ways);
+      cache("line_bytes", &CacheConfig::line_bytes);
+      cache("hit_latency", &CacheConfig::hit_latency);
+    }
+    group("caches.", "", &M::core, &C::hierarchy)(
+        "memory_latency", &HierarchyConfig::memory_latency);
+
+    const std::pair<std::string, memory::TlbConfig C::*> tlbs[] = {
+        {"itlb", &C::itlb}, {"dtlb", &C::dtlb}};
+    for (const auto& [name, which] : tlbs) {
+      const auto tlb = group("tlbs." + name + ".", name + ".", &M::core, which);
+      tlb("entries", &memory::TlbConfig::entries);
+      tlb("ways", &memory::TlbConfig::ways);
+    }
+
+    const std::pair<std::string, shadow::ShadowConfig C::*> shadows[] = {
+        {"dcache", &C::shadow_dcache},
+        {"icache", &C::shadow_icache},
+        {"dtlb", &C::shadow_dtlb},
+        {"itlb", &C::shadow_itlb}};
+    for (const auto& [name, which] : shadows) {
+      const auto shadow = group("shadows." + name + ".",
+                                "shadow_" + name + ".", &M::core, which);
+      shadow("entries", &shadow::ShadowConfig::entries, 1);
+      shadow("full_policy", &shadow::ShadowConfig::full_policy);
+    }
+
+    // Predictor geometry feeds shifts and divisions when the predictor is
+    // built: 1u << table_bits, 1ull << history_bits, one history bit per
+    // perceptron weight, entries / ways, and a depth-sized return stack.
+    using P = predictor::PredictorConfig;
+    using D = predictor::DirectionConfig;
+    const auto direction = group("predictor.", "predictor.", &M::core,
+                                 &C::predictor, &P::direction);
+    direction("direction", &D::kind);
+    direction("table_bits", &D::table_bits, 0, 31);
+    direction("history_bits", &D::history_bits, 0, 63);
+    direction("perceptron_weights", &D::perceptron_weights, 0, 64);
+    const auto btb =
+        group("predictor.", "predictor.", &M::core, &C::predictor, &P::btb);
+    btb("btb_entries", &predictor::BtbConfig::entries, 1);
+    btb("btb_ways", &predictor::BtbConfig::ways, 1);
+    group("predictor.", "predictor.", &M::core, &C::predictor)(
+        "rsb_depth", &P::rsb_depth, 1);
+
+    const auto sampling = group("sampling.", "sampling.", &M::sampling);
+    sampling("fast_forward_interval", &SamplingSpec::fast_forward_interval);
+    sampling("warmup_instrs", &SamplingSpec::warmup_instrs);
+    sampling("detail_instrs", &SamplingSpec::detail_instrs);
+    return t;
+  }();
+  return table;
+}
+
+/// A row's reference into a const spec, for the readers (to_json,
+/// validate): rows hand out mutable pointers, which these never write.
+FieldRef ref_in(const Field& field, const MachineSpec& spec) {
+  return field.ref(const_cast<MachineSpec&>(spec));
+}
+
+// Spellings of the enum-valued fields, indexed by enumerator.
+const char* const kFullPolicyNames[] = {"drop", "stall"};
+const char* const kDirectionNames[] = {"bimodal", "gshare", "perceptron"};
+
+template <typename E, std::size_t N>
+void parse_enum(const char* const (&names)[N], const std::string& text,
+                const std::string& where, E& out) {
+  std::string expected;
+  for (std::size_t i = 0; i < N; ++i) {
+    if (text == names[i]) {
+      out = static_cast<E>(i);
+      return;
+    }
+    expected += std::string(" ") + names[i];
+  }
+  throw std::invalid_argument("unknown value \"" + text + "\" for \"" +
+                              where + "\" (expected one of:" + expected +
+                              ")");
+}
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+/// Parses the --set text form of a field; `where` names it in errors.
+void assign(const FieldRef& ref, const std::string& text,
+            const std::string& where) {
+  std::visit(
+      Overloaded{
+          [&](int* p) { *p = json::parse_int(text, where); },
+          [&](std::uint64_t* p) { *p = json::parse_u64(text, where); },
+          [&](bool* p) {
+            if (text != "true" && text != "1" && text != "false" &&
+                text != "0") {
+              throw std::invalid_argument("expected true/false for \"" +
+                                          where + "\"");
+            }
+            *p = text == "true" || text == "1";
+          },
+          [&](std::string* p) { *p = text; },
+          [&](PolicyName p) {
+            policy::named_policy(text);  // throws with the registered list
+            *p.name = text;
+          },
+          [&](shadow::FullPolicy* p) {
+            parse_enum(kFullPolicyNames, text, where, *p);
+          },
+          [&](predictor::DirectionKind* p) {
+            parse_enum(kDirectionNames, text, where, *p);
+          },
+      },
+      ref);
+}
+
+/// Reads a field from its JSON value. JSON keeps its types: booleans are
+/// true/false, names are strings, and integers are numbers or (hex)
+/// strings.
+void read(const FieldRef& ref, const Json& value, const std::string& where) {
+  const bool boolean = std::holds_alternative<bool*>(ref);
+  const bool numeric = std::holds_alternative<int*>(ref) ||
+                       std::holds_alternative<std::uint64_t*>(ref);
+  if (boolean ? value.kind != Json::Kind::kBool
+              : value.kind != Json::Kind::kString &&
+                    !(numeric && value.kind == Json::Kind::kNumber)) {
+    throw std::invalid_argument(
+        std::string(boolean   ? "expected true/false"
+                    : numeric ? "expected a number"
+                              : "expected a string") +
+        " for \"" + where + "\"");
+  }
+  assign(ref, boolean ? (value.boolean ? "true" : "false") : value.text, where);
+}
+
+void write(JsonWriter& w, const char* key, const FieldRef& ref) {
+  std::visit(Overloaded{
+                 [&](PolicyName p) { w.field(key, *p.name); },
+                 [&](shadow::FullPolicy* p) {
+                   w.field(key, kFullPolicyNames[static_cast<int>(*p)]);
+                 },
+                 [&](predictor::DirectionKind* p) {
+                   w.field(key, kDirectionNames[static_cast<int>(*p)]);
+                 },
+                 [&](auto* p) { w.field(key, *p); },
+             },
+             ref);
+}
+
+/// Throws unless a numeric row's value lies in [min, max]. The message
+/// is built only on failure: validate() runs on every build.
+void check_range(const Field& field, const MachineSpec& spec) {
+  const FieldRef ref = ref_in(field, spec);
+  std::string got;
+  if (int* const* p = std::get_if<int*>(&ref)) {
+    const auto v = static_cast<std::uint64_t>(**p);
+    if (**p < 0 || v < field.min || v > field.max) got = std::to_string(**p);
+  } else if (std::uint64_t* const* p = std::get_if<std::uint64_t*>(&ref)) {
+    if (**p < field.min || **p > field.max) got = std::to_string(**p);
+  }
+  if (got.empty()) return;
+  throw std::invalid_argument(
+      field.key +
+      (field.max == kNoMax
+           ? " must be at least " + std::to_string(field.min)
+           : " must be in [" + std::to_string(field.min) + ", " +
+                 std::to_string(field.max) + "]") +
+      ", got " + got);
+}
+
+[[noreturn]] void unknown_key(const std::string& path) {
+  throw std::invalid_argument(
+      "unknown machine-spec key \"" + path +
+      "\" (see MachineSpec in src/sim/machine.h for the grammar)");
+}
+
+/// Reads the member `value` at dotted `path`: a row, or an object whose
+/// members lead to rows.
+void read_member(const std::string& path, const Json& value,
+                 MachineSpec& spec) {
+  const std::string prefix = path + ".";
+  bool encloses = false;
+  for (const Field& field : fields()) {
+    if (field.path == path) return read(field.ref(spec), value, path);
+    encloses = encloses || field.path.compare(0, prefix.size(), prefix) == 0;
+  }
+  if (!encloses) unknown_key(path);
+  if (value.kind != Json::Kind::kObject) {
+    throw std::invalid_argument("expected an object for \"" + path + "\"");
+  }
+  for (const auto& [name, member] : value.object) {
+    read_member(prefix + name, member, spec);
+  }
+}
+
+/// Reads the object `value` at `path` ("memory_map[2]") into `members`,
+/// rejecting any other key.
+void read_entry(
+    const Json& value, const std::string& path,
+    std::initializer_list<std::pair<const char*, FieldRef>> members) {
+  if (value.kind != Json::Kind::kObject) {
+    throw std::invalid_argument("expected an object for \"" + path + "\"");
+  }
+  for (const auto& [key, member] : value.object) {
+    const auto it = std::find_if(members.begin(), members.end(),
+                                 [&](const auto& m) { return key == m.first; });
+    if (it == members.end()) unknown_key(path + "." + key);
+    read(it->second, member, path + "." + key);
+  }
+}
+
 void validate_cache(const memory::CacheConfig& c) {
   if (c.size_bytes == 0 || c.ways <= 0 || c.line_bytes <= 0) {
     throw std::invalid_argument(c.name + ": size, ways and line_bytes must "
@@ -195,38 +432,9 @@ void validate_tlb(const memory::TlbConfig& t) {
 // ---- MachineSpec -----------------------------------------------------------
 
 void MachineSpec::validate() const {
+  for (const Field& field : fields()) check_range(field, *this);
+
   const cpu::CoreConfig& c = core;
-  const struct {
-    const char* name;
-    int value;
-  } positives[] = {
-      {"fetch_width", c.fetch_width},   {"issue_width", c.issue_width},
-      {"commit_width", c.commit_width}, {"iq_entries", c.iq_entries},
-      {"rob_entries", c.rob_entries},   {"ldq_entries", c.ldq_entries},
-      {"stq_entries", c.stq_entries},
-  };
-  for (const auto& p : positives) {
-    if (p.value <= 0) {
-      throw std::invalid_argument(std::string(p.name) +
-                                  " must be positive, got " +
-                                  std::to_string(p.value));
-    }
-  }
-  if (c.fetch_to_dispatch_delay < 0 || c.commit_delay < 0) {
-    throw std::invalid_argument("pipeline delays must be non-negative");
-  }
-  if (c.dib_lines < 0) {
-    throw std::invalid_argument("dib_lines must be non-negative (0 "
-                                "disables the decoded-instruction buffer)");
-  }
-  if (c.sharp_alarm_threshold == 0 || c.sharp_alarm_epoch == 0) {
-    throw std::invalid_argument(
-        "sharp_alarm_threshold and sharp_alarm_epoch must be positive");
-  }
-  if (c.cores < 1 || c.cores > 64) {
-    throw std::invalid_argument("cores must be in [1, 64], got " +
-                                std::to_string(c.cores));
-  }
   if (c.cores > 1 && sampling.enabled()) {
     throw std::invalid_argument(
         "sampled simulation (sampling.fast_forward_interval > 0) supports "
@@ -239,12 +447,12 @@ void MachineSpec::validate() const {
   validate_cache(c.hierarchy.l3);
   validate_tlb(c.itlb);
   validate_tlb(c.dtlb);
-
-  if (!policy::is_registered_policy(c.policy)) {
-    // Re-throwing through named_policy produces the message that lists
-    // every registered policy.
-    policy::named_policy(c.policy);
+  if (c.predictor.btb.entries % c.predictor.btb.ways != 0) {
+    throw std::invalid_argument(
+        "predictor.btb_entries must be a multiple of predictor.btb_ways");
   }
+
+  policy::named_policy(c.policy);  // throws, listing the registered ones
 
   const struct {
     const shadow::ShadowConfig* config;
@@ -257,10 +465,6 @@ void MachineSpec::validate() const {
       {&c.shadow_itlb, c.rob_entries, "ROB"},
   };
   for (const auto& s : shadows) {
-    if (s.config->entries <= 0) {
-      throw std::invalid_argument(s.config->name +
-                                  ": entries must be positive");
-    }
     if (s.config->entries < s.secure_bound && !allow_undersized_shadows) {
       throw std::invalid_argument(
           s.config->name + ": " + std::to_string(s.config->entries) +
@@ -304,98 +508,31 @@ void MachineSpec::validate() const {
 }
 
 std::string MachineSpec::to_json() const {
-  const cpu::CoreConfig& c = core;
   JsonWriter w;
   w.open();
   w.field("preset", preset);
-  w.field("policy", c.policy);
-  w.field("allow_undersized_shadows", allow_undersized_shadows);
-  w.field("map_text", map_text);
-  w.field("trace", trace);
-  w.field("cores", c.cores);
-
-  w.open("core");
-  w.field("fetch_width", c.fetch_width);
-  w.field("issue_width", c.issue_width);
-  w.field("commit_width", c.commit_width);
-  w.field("iq_entries", c.iq_entries);
-  w.field("rob_entries", c.rob_entries);
-  w.field("ldq_entries", c.ldq_entries);
-  w.field("stq_entries", c.stq_entries);
-  w.field("fetch_to_dispatch_delay", c.fetch_to_dispatch_delay);
-  w.field("commit_delay", c.commit_delay);
-  w.field("dib_lines", c.dib_lines);
-  w.field("alu_latency", c.alu_latency);
-  w.field("mul_latency", c.mul_latency);
-  w.field("div_latency", c.div_latency);
-  w.field("shadow_hit_latency", c.shadow_hit_latency);
-  w.field("sharp_alarm_threshold", c.sharp_alarm_threshold);
-  w.field("sharp_alarm_epoch", c.sharp_alarm_epoch);
-  w.close();
-
-  w.open("caches");
-  const struct {
-    const char* key;
-    const memory::CacheConfig* cache;
-  } caches[] = {{"l1i", &c.hierarchy.l1i},
-                {"l1d", &c.hierarchy.l1d},
-                {"l2", &c.hierarchy.l2},
-                {"l3", &c.hierarchy.l3}};
-  for (const auto& entry : caches) {
-    w.open(entry.key);
-    w.field("size_bytes", entry.cache->size_bytes);
-    w.field("ways", entry.cache->ways);
-    w.field("line_bytes", entry.cache->line_bytes);
-    w.field("hit_latency", entry.cache->hit_latency);
-    w.close();
+  // Rows come grouped by object: close and open objects as the enclosing
+  // path changes from one row to the next.
+  std::vector<std::string> open;
+  for (const Field& field : fields()) {
+    std::vector<std::string> parts;
+    std::istringstream in(field.path);
+    for (std::string part; std::getline(in, part, '.');) parts.push_back(part);
+    const std::string leaf = std::move(parts.back());
+    parts.pop_back();
+    const auto shared =
+        std::mismatch(open.begin(), open.end(), parts.begin(), parts.end());
+    for (auto n = open.end() - shared.first; n > 0; --n) {
+      w.close();
+      open.pop_back();
+    }
+    for (auto it = shared.second; it != parts.end(); ++it) {
+      w.open(it->c_str());
+      open.push_back(*it);
+    }
+    write(w, leaf.c_str(), ref_in(field, *this));
   }
-  w.field("memory_latency", c.hierarchy.memory_latency);
-  w.close();
-
-  w.open("tlbs");
-  const struct {
-    const char* key;
-    const memory::TlbConfig* tlb;
-  } tlbs[] = {{"itlb", &c.itlb}, {"dtlb", &c.dtlb}};
-  for (const auto& entry : tlbs) {
-    w.open(entry.key);
-    w.field("entries", entry.tlb->entries);
-    w.field("ways", entry.tlb->ways);
-    w.close();
-  }
-  w.close();
-
-  w.open("shadows");
-  const struct {
-    const char* key;
-    const shadow::ShadowConfig* config;
-  } shadows[] = {{"dcache", &c.shadow_dcache},
-                 {"icache", &c.shadow_icache},
-                 {"dtlb", &c.shadow_dtlb},
-                 {"itlb", &c.shadow_itlb}};
-  for (const auto& entry : shadows) {
-    w.open(entry.key);
-    w.field("entries", entry.config->entries);
-    w.field("full_policy", shadow::to_string(entry.config->full_policy));
-    w.close();
-  }
-  w.close();
-
-  w.open("predictor");
-  w.field("direction", direction_kind_name(c.predictor.direction.kind));
-  w.field("table_bits", c.predictor.direction.table_bits);
-  w.field("history_bits", c.predictor.direction.history_bits);
-  w.field("perceptron_weights", c.predictor.direction.perceptron_weights);
-  w.field("btb_entries", c.predictor.btb.entries);
-  w.field("btb_ways", c.predictor.btb.ways);
-  w.field("rsb_depth", c.predictor.rsb_depth);
-  w.close();
-
-  w.open("sampling");
-  w.field("fast_forward_interval", sampling.fast_forward_interval);
-  w.field("warmup_instrs", sampling.warmup_instrs);
-  w.field("detail_instrs", sampling.detail_instrs);
-  w.close();
+  for (; !open.empty(); open.pop_back()) w.close();
 
   w.open_array("memory_map");
   for (const MemRegion& region : regions) {
@@ -431,99 +568,38 @@ MachineSpec MachineSpec::from_json(const std::string& text) {
   // Unlisted fields keep the preset's values, so a config file only
   // needs the deltas it cares about.
   std::string preset_name = "skylake";
-  read_string(doc, "preset", preset_name);
+  json::read_string(doc, "preset", preset_name);
   MachineSpec spec = machine_preset(preset_name);
-  cpu::CoreConfig& c = spec.core;
 
-  read_string(doc, "policy", c.policy);
-  read_bool(doc, "allow_undersized_shadows", spec.allow_undersized_shadows);
-  read_bool(doc, "map_text", spec.map_text);
-  read_string(doc, "trace", spec.trace);
-  read_int(doc, "cores", c.cores);
-
-  if (const Json* core = doc.find("core")) {
-    read_int(*core, "fetch_width", c.fetch_width);
-    read_int(*core, "issue_width", c.issue_width);
-    read_int(*core, "commit_width", c.commit_width);
-    read_int(*core, "iq_entries", c.iq_entries);
-    read_int(*core, "rob_entries", c.rob_entries);
-    read_int(*core, "ldq_entries", c.ldq_entries);
-    read_int(*core, "stq_entries", c.stq_entries);
-    read_int(*core, "fetch_to_dispatch_delay", c.fetch_to_dispatch_delay);
-    read_int(*core, "commit_delay", c.commit_delay);
-    read_int(*core, "dib_lines", c.dib_lines);
-    read_cycle(*core, "alu_latency", c.alu_latency);
-    read_cycle(*core, "mul_latency", c.mul_latency);
-    read_cycle(*core, "div_latency", c.div_latency);
-    read_cycle(*core, "shadow_hit_latency", c.shadow_hit_latency);
-    read_u64(*core, "sharp_alarm_threshold", c.sharp_alarm_threshold);
-    read_u64(*core, "sharp_alarm_epoch", c.sharp_alarm_epoch);
-  }
-
-  if (const Json* caches = doc.find("caches")) {
-    read_cache(*caches, "l1i", c.hierarchy.l1i);
-    read_cache(*caches, "l1d", c.hierarchy.l1d);
-    read_cache(*caches, "l2", c.hierarchy.l2);
-    read_cache(*caches, "l3", c.hierarchy.l3);
-    read_cycle(*caches, "memory_latency", c.hierarchy.memory_latency);
-  }
-
-  if (const Json* tlbs = doc.find("tlbs")) {
-    read_tlb(*tlbs, "itlb", c.itlb);
-    read_tlb(*tlbs, "dtlb", c.dtlb);
-  }
-
-  if (const Json* shadows = doc.find("shadows")) {
-    read_shadow(*shadows, "dcache", c.shadow_dcache);
-    read_shadow(*shadows, "icache", c.shadow_icache);
-    read_shadow(*shadows, "dtlb", c.shadow_dtlb);
-    read_shadow(*shadows, "itlb", c.shadow_itlb);
-  }
-
-  if (const Json* pred = doc.find("predictor")) {
-    std::string direction;
-    read_string(*pred, "direction", direction);
-    if (!direction.empty()) {
-      c.predictor.direction.kind = parse_direction_kind(direction);
+  for (const auto& [name, value] : doc.object) {
+    if (name == "preset") continue;
+    if (name != "memory_map" && name != "pokes") {
+      read_member(name, value, spec);
+      continue;
     }
-    read_int(*pred, "table_bits", c.predictor.direction.table_bits);
-    read_int(*pred, "history_bits", c.predictor.direction.history_bits);
-    read_int(*pred, "perceptron_weights",
-             c.predictor.direction.perceptron_weights);
-    read_int(*pred, "btb_entries", c.predictor.btb.entries);
-    read_int(*pred, "btb_ways", c.predictor.btb.ways);
-    read_int(*pred, "rsb_depth", c.predictor.rsb_depth);
-  }
-
-  if (const Json* sampling = doc.find("sampling")) {
-    read_u64(*sampling, "fast_forward_interval",
-             spec.sampling.fast_forward_interval);
-    read_u64(*sampling, "warmup_instrs", spec.sampling.warmup_instrs);
-    read_u64(*sampling, "detail_instrs", spec.sampling.detail_instrs);
-  }
-
-  if (const Json* map = doc.find("memory_map")) {
-    for (const Json& entry : map->array) {
+    if (value.kind != Json::Kind::kArray) {
+      throw std::invalid_argument("expected an array for \"" + name + "\"");
+    }
+    for (std::size_t i = 0; i < value.array.size(); ++i) {
+      const std::string at = name + "[" + std::to_string(i) + "]";
+      if (name == "pokes") {
+        Poke poke;
+        read_entry(value.array[i], at,
+                   {{"addr", &poke.addr}, {"value", &poke.value}});
+        spec.pokes.push_back(poke);
+        continue;
+      }
       MemRegion region;
-      read_u64(entry, "base", region.base);
-      read_u64(entry, "bytes", region.bytes);
       bool kernel = false;
-      read_bool(entry, "kernel", kernel);
+      read_entry(value.array[i], at,
+                 {{"base", &region.base},
+                  {"bytes", &region.bytes},
+                  {"kernel", &kernel}});
       region.perm =
           kernel ? memory::PagePerm::kKernel : memory::PagePerm::kUser;
       spec.regions.push_back(region);
     }
   }
-
-  if (const Json* pokes = doc.find("pokes")) {
-    for (const Json& entry : pokes->array) {
-      Poke poke;
-      read_u64(entry, "addr", poke.addr);
-      read_u64(entry, "value", poke.value);
-      spec.pokes.push_back(poke);
-    }
-  }
-
   return spec;
 }
 
@@ -541,21 +617,12 @@ void MachineSpec::set(const std::string& key_equals_value) {
 }
 
 void MachineSpec::set(const std::string& key, const std::string& value) {
-  cpu::CoreConfig& c = core;
-  const auto u64 = [&] { return parse_u64(value, key); };
-  const auto to_int = [&] { return json::parse_int(value, key); };
-  const auto to_bool = [&] {
-    if (value == "true" || value == "1") return true;
-    if (value == "false" || value == "0") return false;
-    throw std::invalid_argument("expected true/false for \"" + key + "\"");
-  };
-
   if (key == "preset") {
     // Re-seed the whole micro-architecture from the named preset; the
     // machine-level choices (policy, core count) and address-space setup
     // survive. Apply before other overrides so they edit the new preset.
-    const std::string keep_policy = c.policy;
-    const int keep_cores = c.cores;
+    const std::string keep_policy = core.policy;
+    const int keep_cores = core.cores;
     const MachineSpec fresh = machine_preset(value);
     preset = fresh.preset;
     core = fresh.core;
@@ -563,182 +630,10 @@ void MachineSpec::set(const std::string& key, const std::string& value) {
     core.cores = keep_cores;
     return;
   }
-  if (key == "cores") {
-    c.cores = to_int();
-    return;
+  for (const Field& field : fields()) {
+    if (field.key == key) return assign(field.ref(*this), value, key);
   }
-  if (key == "policy") {
-    policy::named_policy(value);  // throws with the registered list
-    c.policy = value;
-    return;
-  }
-  if (key == "sharp_alarm_threshold") {
-    c.sharp_alarm_threshold = u64();
-    return;
-  }
-  if (key == "sharp_alarm_epoch") {
-    c.sharp_alarm_epoch = u64();
-    return;
-  }
-  if (key == "allow_undersized_shadows") {
-    allow_undersized_shadows = to_bool();
-    return;
-  }
-  if (key == "map_text") {
-    map_text = to_bool();
-    return;
-  }
-  if (key == "trace") {
-    trace = value;
-    return;
-  }
-
-  int* const int_fields[]{&c.fetch_width,
-                          &c.issue_width,
-                          &c.commit_width,
-                          &c.iq_entries,
-                          &c.rob_entries,
-                          &c.ldq_entries,
-                          &c.stq_entries,
-                          &c.fetch_to_dispatch_delay,
-                          &c.commit_delay,
-                          &c.dib_lines};
-  const char* const int_names[]{
-      "fetch_width", "issue_width",  "commit_width",
-      "iq_entries",  "rob_entries",  "ldq_entries",
-      "stq_entries", "fetch_to_dispatch_delay", "commit_delay",
-      "dib_lines"};
-  for (std::size_t i = 0; i < std::size(int_fields); ++i) {
-    if (key == int_names[i]) {
-      *int_fields[i] = to_int();
-      return;
-    }
-  }
-
-  Cycle* const cycle_fields[]{&c.alu_latency, &c.mul_latency, &c.div_latency,
-                              &c.shadow_hit_latency,
-                              &c.hierarchy.memory_latency};
-  const char* const cycle_names[]{"alu_latency", "mul_latency", "div_latency",
-                                  "shadow_hit_latency", "memory_latency"};
-  for (std::size_t i = 0; i < std::size(cycle_fields); ++i) {
-    if (key == cycle_names[i]) {
-      *cycle_fields[i] = u64();
-      return;
-    }
-  }
-
-  const struct {
-    const char* prefix;
-    memory::CacheConfig* cache;
-  } caches[] = {{"l1i.", &c.hierarchy.l1i},
-                {"l1d.", &c.hierarchy.l1d},
-                {"l2.", &c.hierarchy.l2},
-                {"l3.", &c.hierarchy.l3}};
-  for (const auto& entry : caches) {
-    if (key.compare(0, std::strlen(entry.prefix), entry.prefix) != 0) {
-      continue;
-    }
-    const std::string field = key.substr(std::strlen(entry.prefix));
-    if (field == "size_bytes") {
-      entry.cache->size_bytes = u64();
-    } else if (field == "ways") {
-      entry.cache->ways = to_int();
-    } else if (field == "line_bytes") {
-      entry.cache->line_bytes = to_int();
-    } else if (field == "hit_latency") {
-      entry.cache->hit_latency = u64();
-    } else {
-      throw std::invalid_argument("unknown cache field in \"" + key + "\"");
-    }
-    return;
-  }
-
-  const struct {
-    const char* prefix;
-    memory::TlbConfig* tlb;
-  } tlbs[] = {{"itlb.", &c.itlb}, {"dtlb.", &c.dtlb}};
-  for (const auto& entry : tlbs) {
-    if (key.compare(0, std::strlen(entry.prefix), entry.prefix) != 0) {
-      continue;
-    }
-    const std::string field = key.substr(std::strlen(entry.prefix));
-    if (field == "entries") {
-      entry.tlb->entries = to_int();
-    } else if (field == "ways") {
-      entry.tlb->ways = to_int();
-    } else {
-      throw std::invalid_argument("unknown TLB field in \"" + key + "\"");
-    }
-    return;
-  }
-
-  const struct {
-    const char* prefix;
-    shadow::ShadowConfig* config;
-  } shadows[] = {{"shadow_dcache.", &c.shadow_dcache},
-                 {"shadow_icache.", &c.shadow_icache},
-                 {"shadow_dtlb.", &c.shadow_dtlb},
-                 {"shadow_itlb.", &c.shadow_itlb}};
-  for (const auto& entry : shadows) {
-    if (key.compare(0, std::strlen(entry.prefix), entry.prefix) != 0) {
-      continue;
-    }
-    const std::string field = key.substr(std::strlen(entry.prefix));
-    if (field == "entries") {
-      entry.config->entries = to_int();
-    } else if (field == "full_policy") {
-      entry.config->full_policy = parse_full_policy(value);
-    } else {
-      throw std::invalid_argument("unknown shadow field in \"" + key + "\"");
-    }
-    return;
-  }
-
-  if (key == "sampling.fast_forward_interval") {
-    sampling.fast_forward_interval = u64();
-    return;
-  }
-  if (key == "sampling.warmup_instrs") {
-    sampling.warmup_instrs = u64();
-    return;
-  }
-  if (key == "sampling.detail_instrs") {
-    sampling.detail_instrs = u64();
-    return;
-  }
-
-  if (key == "predictor.direction") {
-    c.predictor.direction.kind = parse_direction_kind(value);
-    return;
-  }
-  if (key == "predictor.table_bits") {
-    c.predictor.direction.table_bits = to_int();
-    return;
-  }
-  if (key == "predictor.history_bits") {
-    c.predictor.direction.history_bits = to_int();
-    return;
-  }
-  if (key == "predictor.perceptron_weights") {
-    c.predictor.direction.perceptron_weights = to_int();
-    return;
-  }
-  if (key == "predictor.btb_entries") {
-    c.predictor.btb.entries = to_int();
-    return;
-  }
-  if (key == "predictor.btb_ways") {
-    c.predictor.btb.ways = to_int();
-    return;
-  }
-  if (key == "predictor.rsb_depth") {
-    c.predictor.rsb_depth = to_int();
-    return;
-  }
-
-  throw std::invalid_argument(
-      "unknown machine-spec key \"" + key +
-      "\" (see MachineSpec::set in src/sim/machine.h for the grammar)");
+  unknown_key(key);
 }
 
 // ---- preset registry -------------------------------------------------------

@@ -7,6 +7,13 @@
 // so a sweep point is data — shippable in a config file, overridable
 // with --set key=value — instead of a hand-written construction site.
 //
+// Every scalar field is listed once, in the field table in machine.cc,
+// which drives the JSON reader, the JSON writer, the --set parser and the
+// single-field range checks. A field has two spellings: its dotted JSON
+// path ("caches.l1d.ways", "shadows.dcache.entries") and its --set key
+// ("l1d.ways", "shadow_dcache.entries"). Unknown or mistyped keys are
+// rejected under their full path, and the tools exit 2 on them.
+//
 // Three pieces:
 //   * the preset registry: named starting points ("skylake" — Tables
 //     I/II; "embedded" — a 2-wide in-order-ish little core) that
@@ -67,16 +74,21 @@ struct MachineSpec {
   std::vector<MemRegion> regions;
   std::vector<Poke> pokes;
 
-  /// Throws std::invalid_argument on the first problem found: zero or
-  /// negative widths/queue sizes, degenerate cache or TLB geometry,
-  /// overlapping or wrapping memory-map regions, or shadow sizing below
-  /// the secure bound without allow_undersized_shadows. An unknown
-  /// policy name throws std::out_of_range listing the registered
+  /// Throws std::invalid_argument on the first problem found: a field
+  /// outside its range (zero widths/queue sizes, predictor geometry the
+  /// predictor cannot be built with), degenerate cache, TLB or BTB
+  /// geometry, overlapping or wrapping memory-map regions, or shadow
+  /// sizing below the secure bound without allow_undersized_shadows. An
+  /// unknown policy name throws std::out_of_range listing the registered
   /// policies (the registries' lookup error).
   void validate() const;
 
   /// Pretty-printed JSON document (stable key order — round-trips).
   std::string to_json() const;
+  /// Starts from the document's "preset" (default skylake) and applies
+  /// the fields it lists. Throws std::invalid_argument naming the full
+  /// dotted path ("core.rob_entires", "memory_map[1].kernal") on an
+  /// unknown key or a mistyped value.
   static MachineSpec from_json(const std::string& text);
   static MachineSpec from_json_file(const std::string& path);
 

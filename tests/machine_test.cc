@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -377,6 +378,469 @@ TEST(MachineSpecJson, IntFieldsRejectValuesAboveIntMaxInsteadOfWrapping) {
       MachineSpec::from_json(R"({"core": {"rob_entries": 2147483647}})")
           .core.rob_entries,
       INT_MAX);
+}
+
+/// Requires `parse` to throw std::invalid_argument whose message contains
+/// `needle`.
+template <typename Parse>
+void expect_rejected(Parse parse, const std::string& needle) {
+  try {
+    parse();
+    ADD_FAILURE() << "accepted; expected an error naming " << needle;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(MachineSpecJson, RejectsUnknownKeysNamingTheFullPath) {
+  // A misspelt field used to be skipped, leaving the preset's ROB of 224.
+  expect_rejected(
+      [] { MachineSpec::from_json(R"({"core": {"rob_entires": 8}})"); },
+      "\"core.rob_entires\"");
+  expect_rejected([] { MachineSpec::from_json(R"({"cache": {}})"); },
+                  "\"cache\"");
+  expect_rejected(
+      [] { MachineSpec::from_json(R"({"caches": {"l4": {"ways": 2}}})"); },
+      "\"caches.l4\"");
+  expect_rejected(
+      [] {
+        MachineSpec::from_json(
+            R"({"memory_map": [{"base": 4096, "bytes": 4096},
+                               {"base": 8192, "bytes": 4096,
+                                "kernal": true}]})");
+      },
+      "\"memory_map[1].kernal\"");
+  expect_rejected(
+      [] { MachineSpec::from_json(R"({"pokes": [{"adr": 4096}]})"); },
+      "\"pokes[0].adr\"");
+}
+
+TEST(MachineSpecJson, RejectsMistypedValuesNamingTheFullPath) {
+  expect_rejected([] { MachineSpec::from_json(R"({"core": 5})"); },
+                  "expected an object for \"core\"");
+  expect_rejected(
+      [] { MachineSpec::from_json(R"({"caches": {"l1d": {"ways": "x"}}})"); },
+      "\"caches.l1d.ways\"");
+  expect_rejected(
+      [] { MachineSpec::from_json(R"({"caches": {"l1d": {"ways": [2]}}})"); },
+      "expected a number for \"caches.l1d.ways\"");
+  expect_rejected([] { MachineSpec::from_json(R"({"map_text": 1})"); },
+                  "expected true/false for \"map_text\"");
+  expect_rejected(
+      [] {
+        MachineSpec::from_json(
+            R"({"shadows": {"itlb": {"full_policy": "explode"}}})");
+      },
+      "\"shadows.itlb.full_policy\"");
+  expect_rejected([] { MachineSpec::from_json(R"({"memory_map": {}})"); },
+                  "expected an array for \"memory_map\"");
+  expect_rejected([] { MachineSpec::from_json(R"({"pokes": [7]})"); },
+                  "expected an object for \"pokes[0]\"");
+}
+
+// ---- predictor geometry ----------------------------------------------------
+// The predictor's constructors shift by table_bits and history_bits and
+// divide by btb_ways, so validate() must bound them before a build.
+
+/// Requires validate() to accept `good` and to reject `bad`, naming `key`.
+void expect_bound(const std::string& key, const std::string& good,
+                  const std::string& bad) {
+  MachineSpec spec;
+  spec.set(key, good);
+  EXPECT_NO_THROW(spec.validate()) << key << "=" << good;
+  spec.set(key, bad);
+  expect_rejected([&] { spec.validate(); }, key);
+}
+
+TEST(MachineSpecValidate, BtbEntriesMustBePositive) {
+  expect_bound("predictor.btb_entries", "4", "0");
+}
+
+TEST(MachineSpecValidate, BtbWaysMustBePositive) {
+  expect_bound("predictor.btb_ways", "1", "0");
+}
+
+TEST(MachineSpecValidate, BtbEntriesMustBeAMultipleOfBtbWays) {
+  expect_bound("predictor.btb_entries", "1020", "1022");
+}
+
+TEST(MachineSpecValidate, TableBitsAtMost31) {
+  expect_bound("predictor.table_bits", "31", "32");
+}
+
+TEST(MachineSpecValidate, HistoryBitsAtMost63) {
+  expect_bound("predictor.history_bits", "63", "64");
+}
+
+TEST(MachineSpecValidate, PerceptronWeightsAtMost64) {
+  expect_bound("predictor.perceptron_weights", "64", "65");
+}
+
+TEST(MachineSpecValidate, RsbDepthMustBePositive) {
+  expect_bound("predictor.rsb_depth", "1", "0");
+}
+
+// ---- field table coverage ------------------------------------------------
+//
+// The documents below are to_json() output pinned before the JSON reader,
+// writer and --set parser were folded into one field table: the table
+// must reproduce them byte for byte.
+
+const char* const kSkylakeJson = R"({
+  "preset": "skylake",
+  "policy": "baseline",
+  "allow_undersized_shadows": false,
+  "map_text": true,
+  "trace": "",
+  "cores": 1,
+  "core": {
+    "fetch_width": 6,
+    "issue_width": 6,
+    "commit_width": 6,
+    "iq_entries": 96,
+    "rob_entries": 224,
+    "ldq_entries": 72,
+    "stq_entries": 56,
+    "fetch_to_dispatch_delay": 5,
+    "commit_delay": 4,
+    "dib_lines": 1024,
+    "alu_latency": 1,
+    "mul_latency": 3,
+    "div_latency": 20,
+    "shadow_hit_latency": 4,
+    "sharp_alarm_threshold": 2000,
+    "sharp_alarm_epoch": 1000000000
+  },
+  "caches": {
+    "l1i": {
+      "size_bytes": 32768,
+      "ways": 8,
+      "line_bytes": 64,
+      "hit_latency": 4
+    },
+    "l1d": {
+      "size_bytes": 32768,
+      "ways": 8,
+      "line_bytes": 64,
+      "hit_latency": 4
+    },
+    "l2": {
+      "size_bytes": 262144,
+      "ways": 4,
+      "line_bytes": 64,
+      "hit_latency": 12
+    },
+    "l3": {
+      "size_bytes": 2097152,
+      "ways": 16,
+      "line_bytes": 64,
+      "hit_latency": 44
+    },
+    "memory_latency": 191
+  },
+  "tlbs": {
+    "itlb": {
+      "entries": 64,
+      "ways": 4
+    },
+    "dtlb": {
+      "entries": 64,
+      "ways": 4
+    }
+  },
+  "shadows": {
+    "dcache": {
+      "entries": 72,
+      "full_policy": "drop"
+    },
+    "icache": {
+      "entries": 224,
+      "full_policy": "drop"
+    },
+    "dtlb": {
+      "entries": 72,
+      "full_policy": "drop"
+    },
+    "itlb": {
+      "entries": 224,
+      "full_policy": "drop"
+    }
+  },
+  "predictor": {
+    "direction": "gshare",
+    "table_bits": 12,
+    "history_bits": 12,
+    "perceptron_weights": 16,
+    "btb_entries": 1024,
+    "btb_ways": 4,
+    "rsb_depth": 16
+  },
+  "sampling": {
+    "fast_forward_interval": 0,
+    "warmup_instrs": 2000,
+    "detail_instrs": 10000
+  },
+  "memory_map": [],
+  "pokes": []
+}
+)";
+
+const char* const kEmbeddedJson = R"({
+  "preset": "embedded",
+  "policy": "baseline",
+  "allow_undersized_shadows": false,
+  "map_text": true,
+  "trace": "",
+  "cores": 1,
+  "core": {
+    "fetch_width": 2,
+    "issue_width": 2,
+    "commit_width": 2,
+    "iq_entries": 16,
+    "rob_entries": 32,
+    "ldq_entries": 12,
+    "stq_entries": 8,
+    "fetch_to_dispatch_delay": 3,
+    "commit_delay": 2,
+    "dib_lines": 1024,
+    "alu_latency": 1,
+    "mul_latency": 3,
+    "div_latency": 20,
+    "shadow_hit_latency": 4,
+    "sharp_alarm_threshold": 2000,
+    "sharp_alarm_epoch": 1000000000
+  },
+  "caches": {
+    "l1i": {
+      "size_bytes": 8192,
+      "ways": 2,
+      "line_bytes": 32,
+      "hit_latency": 2
+    },
+    "l1d": {
+      "size_bytes": 8192,
+      "ways": 2,
+      "line_bytes": 32,
+      "hit_latency": 2
+    },
+    "l2": {
+      "size_bytes": 65536,
+      "ways": 4,
+      "line_bytes": 32,
+      "hit_latency": 8
+    },
+    "l3": {
+      "size_bytes": 524288,
+      "ways": 8,
+      "line_bytes": 32,
+      "hit_latency": 24
+    },
+    "memory_latency": 100
+  },
+  "tlbs": {
+    "itlb": {
+      "entries": 16,
+      "ways": 4
+    },
+    "dtlb": {
+      "entries": 16,
+      "ways": 4
+    }
+  },
+  "shadows": {
+    "dcache": {
+      "entries": 12,
+      "full_policy": "drop"
+    },
+    "icache": {
+      "entries": 32,
+      "full_policy": "drop"
+    },
+    "dtlb": {
+      "entries": 12,
+      "full_policy": "drop"
+    },
+    "itlb": {
+      "entries": 32,
+      "full_policy": "drop"
+    }
+  },
+  "predictor": {
+    "direction": "bimodal",
+    "table_bits": 10,
+    "history_bits": 12,
+    "perceptron_weights": 16,
+    "btb_entries": 256,
+    "btb_ways": 4,
+    "rsb_depth": 8
+  },
+  "sampling": {
+    "fast_forward_interval": 0,
+    "warmup_instrs": 2000,
+    "detail_instrs": 10000
+  },
+  "memory_map": [],
+  "pokes": []
+}
+)";
+
+/// Every --set key except preset=, each with a value no preset uses.
+const char* const kEveryKey[] = {
+    "policy=WFC", "allow_undersized_shadows=true", "map_text=false",
+    "trace=t.sstr", "cores=3", "fetch_width=5", "issue_width=4",
+    "commit_width=3", "iq_entries=90", "rob_entries=200", "ldq_entries=70",
+    "stq_entries=50", "fetch_to_dispatch_delay=6", "commit_delay=7",
+    "dib_lines=512", "alu_latency=2", "mul_latency=5", "div_latency=21",
+    "shadow_hit_latency=6", "sharp_alarm_threshold=1999",
+    "sharp_alarm_epoch=999", "l1i.size_bytes=65536", "l1i.ways=4",
+    "l1i.line_bytes=32", "l1i.hit_latency=3", "l1d.size_bytes=16384",
+    "l1d.ways=2", "l1d.line_bytes=128", "l1d.hit_latency=7",
+    "l2.size_bytes=131072", "l2.ways=8", "l2.line_bytes=16",
+    "l2.hit_latency=13", "l3.size_bytes=4194304", "l3.ways=32",
+    "l3.line_bytes=256", "l3.hit_latency=45", "memory_latency=190",
+    "itlb.entries=32", "itlb.ways=2", "dtlb.entries=128", "dtlb.ways=8",
+    "shadow_dcache.entries=71", "shadow_dcache.full_policy=stall",
+    "shadow_icache.entries=223", "shadow_icache.full_policy=stall",
+    "shadow_dtlb.entries=69", "shadow_dtlb.full_policy=stall",
+    "shadow_itlb.entries=222", "shadow_itlb.full_policy=stall",
+    "predictor.direction=perceptron", "predictor.table_bits=11",
+    "predictor.history_bits=13", "predictor.perceptron_weights=15",
+    "predictor.btb_entries=2048", "predictor.btb_ways=8",
+    "predictor.rsb_depth=17", "sampling.fast_forward_interval=100000",
+    "sampling.warmup_instrs=2001", "sampling.detail_instrs=10001"};
+
+const char* const kEveryKeyJson = R"({
+  "preset": "skylake",
+  "policy": "WFC",
+  "allow_undersized_shadows": true,
+  "map_text": false,
+  "trace": "t.sstr",
+  "cores": 3,
+  "core": {
+    "fetch_width": 5,
+    "issue_width": 4,
+    "commit_width": 3,
+    "iq_entries": 90,
+    "rob_entries": 200,
+    "ldq_entries": 70,
+    "stq_entries": 50,
+    "fetch_to_dispatch_delay": 6,
+    "commit_delay": 7,
+    "dib_lines": 512,
+    "alu_latency": 2,
+    "mul_latency": 5,
+    "div_latency": 21,
+    "shadow_hit_latency": 6,
+    "sharp_alarm_threshold": 1999,
+    "sharp_alarm_epoch": 999
+  },
+  "caches": {
+    "l1i": {
+      "size_bytes": 65536,
+      "ways": 4,
+      "line_bytes": 32,
+      "hit_latency": 3
+    },
+    "l1d": {
+      "size_bytes": 16384,
+      "ways": 2,
+      "line_bytes": 128,
+      "hit_latency": 7
+    },
+    "l2": {
+      "size_bytes": 131072,
+      "ways": 8,
+      "line_bytes": 16,
+      "hit_latency": 13
+    },
+    "l3": {
+      "size_bytes": 4194304,
+      "ways": 32,
+      "line_bytes": 256,
+      "hit_latency": 45
+    },
+    "memory_latency": 190
+  },
+  "tlbs": {
+    "itlb": {
+      "entries": 32,
+      "ways": 2
+    },
+    "dtlb": {
+      "entries": 128,
+      "ways": 8
+    }
+  },
+  "shadows": {
+    "dcache": {
+      "entries": 71,
+      "full_policy": "stall"
+    },
+    "icache": {
+      "entries": 223,
+      "full_policy": "stall"
+    },
+    "dtlb": {
+      "entries": 69,
+      "full_policy": "stall"
+    },
+    "itlb": {
+      "entries": 222,
+      "full_policy": "stall"
+    }
+  },
+  "predictor": {
+    "direction": "perceptron",
+    "table_bits": 11,
+    "history_bits": 13,
+    "perceptron_weights": 15,
+    "btb_entries": 2048,
+    "btb_ways": 8,
+    "rsb_depth": 17
+  },
+  "sampling": {
+    "fast_forward_interval": 100000,
+    "warmup_instrs": 2001,
+    "detail_instrs": 10001
+  },
+  "memory_map": [
+    {
+      "base": 9437184,
+      "bytes": 8192,
+      "kernel": true
+    }
+  ],
+  "pokes": [
+    {
+      "addr": 9437192,
+      "value": 42
+    }
+  ]
+}
+)";
+
+TEST(MachineSpecFields, PresetsSerializeAsPinned) {
+  EXPECT_EQ(sim::machine_preset("skylake").to_json(), kSkylakeJson);
+  EXPECT_EQ(sim::machine_preset("embedded").to_json(), kEmbeddedJson);
+  EXPECT_EQ(MachineSpec::from_json(kSkylakeJson).to_json(), kSkylakeJson);
+  EXPECT_EQ(MachineSpec::from_json(kEmbeddedJson).to_json(), kEmbeddedJson);
+}
+
+TEST(MachineSpecFields, EveryKeyReachesItsOwnJsonField) {
+  ASSERT_EQ(std::size(kEveryKey), 60u);
+  const std::string skylake = MachineSpec().to_json();
+  MachineSpec spec;
+  for (const char* key_equals_value : kEveryKey) {
+    MachineSpec single;  // alone, each override changes the document
+    single.set(key_equals_value);
+    EXPECT_NE(single.to_json(), skylake) << key_equals_value;
+    spec.set(key_equals_value);
+  }
+  spec.regions.push_back({0x900000, 0x2000, memory::PagePerm::kKernel});
+  spec.pokes.push_back({0x900008, 42});
+  EXPECT_EQ(spec.to_json(), kEveryKeyJson);
+  EXPECT_EQ(MachineSpec::from_json(kEveryKeyJson).to_json(), kEveryKeyJson);
 }
 
 // ---- builder ---------------------------------------------------------------

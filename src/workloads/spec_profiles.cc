@@ -364,7 +364,9 @@ WorkloadProfile profile_by_name(const std::string& name) {
             "profile; use trace:PATH to replay a trace file)");
       }
       p.name = name;
-      p.trace_file = "@";
+      // Not `= "@"`: GCC 12 reports a false -Wrestrict overlap on that
+      // assignment in sanitizer builds with _GLIBCXX_ASSERTIONS.
+      p.trace_file.assign(1, '@');
       return p;
     }
     WorkloadProfile p;

@@ -124,52 +124,6 @@ void Core::invalidate_dib() {
   dib_last_line_ = ~Addr{0};
 }
 
-StopReason Core::run(Cycle max_cycles, std::uint64_t max_instrs) {
-  const Cycle deadline = cycle_ + max_cycles;
-  std::uint64_t committed_at_start = stats_.committed_instrs;
-  Cycle last_progress = cycle_;
-  std::uint64_t last_committed = stats_.committed_instrs;
-
-  while (!halted_) {
-    if (cycle_ >= deadline) {
-      stop_reason_ = StopReason::kMaxCycles;
-      break;
-    }
-    if (stats_.committed_instrs - committed_at_start >= max_instrs) {
-      stop_reason_ = StopReason::kMaxInstrs;
-      break;
-    }
-    // Jump over the cycles in which no stage can act, but never past the
-    // budget or the wedge backstop's cycle, so both fire where stepping
-    // would. A finished core is stepped once and stopped below.
-    const Cycle wake = std::min(
-        {next_event_cycle(), deadline, last_progress + kWedgeCycles + 1});
-    if (wake > cycle_ && !finished()) {
-      idle_to(wake);
-    } else {
-      step();
-    }
-    if (stats_.committed_instrs != last_committed) {
-      last_committed = stats_.committed_instrs;
-      last_progress = cycle_;
-    } else if (cycle_ - last_progress > kWedgeCycles) {
-      // Deadlock backstop: nothing committed for a long time. This only
-      // fires on malformed programs (e.g. committed control flow ran off
-      // the end of the text without a halt).
-      stop_reason_ = StopReason::kFaultNoHandler;
-      LOG_WARN("core wedged at pc=0x" << std::hex << fetch_pc_);
-      break;
-    }
-    // Committed control flow reached a pc with no instruction: the front
-    // end is stalled with an empty pipeline and can never refill.
-    if (fetch_stalled_ && rob_.empty() && fetch_queue_.empty() && !halted_) {
-      stop_reason_ = StopReason::kFaultNoHandler;
-      break;
-    }
-  }
-  return stop_reason_;
-}
-
 void Core::step() {
   stage_complete();
   stage_commit();

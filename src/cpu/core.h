@@ -185,17 +185,15 @@ class Core {
        memory::MainMemory* mem, memory::PageTable* page_table,
        memory::SharedLevels* shared_levels = nullptr, int core_id = 0);
 
-  /// Runs until halt/fault/budget. Returns the stop reason.
-  StopReason run(Cycle max_cycles = 10'000'000,
-                 std::uint64_t max_instrs = ~0ULL);
-
-  /// Single-steps one cycle (tests drive this directly).
+  /// Advances one cycle. sim::Simulator::run drives every core through
+  /// step() and idle_to(); tests may also drive it directly.
   void step();
 
   /// Returned by next_event_cycle() when no stage can ever act again.
   static constexpr Cycle kNeverCycle = ~Cycle{0};
-  /// run()'s wedge backstop: a core that commits nothing for longer than
-  /// this many cycles is stopped (only malformed programs get there).
+  /// Simulator::run's wedge backstop: a core that commits nothing for
+  /// longer than this many cycles is stopped (only malformed programs get
+  /// there).
   static constexpr Cycle kWedgeCycles = 100'000;
 
   /// The earliest cycle at or after now() at which any stage can change
@@ -221,17 +219,16 @@ class Core {
   Cycle now() const { return cycle_; }
   int core_id() const { return core_id_; }
 
-  /// Why the last run() ended. Set at the halt/fault commit sites, so it
-  /// is accurate for any halted() core even when driven by step() — the
-  /// multi-core scheduler relies on that; budget stops are reported by
-  /// whichever loop enforced the budget.
+  /// Why the core halted: kHalted or kFaultNoHandler, set at the
+  /// halt/fault commit sites. Meaningful only when halted(); budget stops
+  /// and wedges are reported by Simulator::run, which enforces them.
   StopReason stop_reason() const { return stop_reason_; }
 
   /// True when the core can make no further progress by stepping:
   /// halted, or committed control flow reached a pc with no instruction
   /// (the front end is stalled with an empty pipeline and can never
-  /// refill). Mirrors the termination conditions of run() for external
-  /// cycle-by-cycle schedulers.
+  /// refill). Simulator::run stops stepping a core once it is finished,
+  /// and never steps one that is finished on entry.
   bool finished() const {
     return halted_ || (fetch_stalled_ && rob_.empty() && fetch_queue_.empty());
   }

@@ -723,7 +723,6 @@ MachineBuilder& MachineBuilder::configure(
 std::unique_ptr<Simulator> MachineBuilder::build(isa::Program program) const {
   spec_.validate();
   auto sim = std::make_unique<Simulator>(spec_.core, std::move(program));
-  sim->set_sampling(spec_.sampling);
   if (spec_.map_text) sim->map_text();
   for (const MemRegion& region : spec_.regions) {
     sim->map_region(region.base, region.bytes, region.perm);

@@ -67,9 +67,9 @@ struct MachineSpec {
   /// engine copies this onto every cell's WorkloadProfile::trace_file
   /// (see src/trace/). Set grammar: --set trace=PATH.
   std::string trace;
-  /// Sampled-simulation schedule (disabled by default). Carried onto the
-  /// built Simulator; run_sampled_auto() and the experiment engine honor
-  /// it. See sim::SamplingSpec.
+  /// Sampled-simulation schedule (disabled by default). The experiment
+  /// engine copies it onto every cell, which then runs through
+  /// Simulator::run_sampled. See sim::SamplingSpec.
   SamplingSpec sampling;
   std::vector<MemRegion> regions;
   std::vector<Poke> pokes;

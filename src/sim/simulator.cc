@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/log.h"
 #include "sim/functional.h"
 
 namespace safespec::sim {
@@ -99,40 +100,25 @@ void Simulator::poke(Addr addr, std::uint64_t value) {
 }
 
 SimResult Simulator::run(Cycle max_cycles, std::uint64_t max_instrs) {
-  // cores=1 delegates to the historical single-core loop — the
-  // bit-identity guarantee for every golden CSV and perf cell.
-  const auto stop = ctx_.size() == 1
-                        ? ctx_[0]->core->run(max_cycles, max_instrs)
-                        : run_multi(max_cycles, max_instrs);
-  return snapshot(stop);
+  return snapshot(schedule(max_cycles, max_instrs));
 }
 
-cpu::StopReason Simulator::run_multi(Cycle max_cycles,
-                                     std::uint64_t max_instrs) {
+cpu::StopReason Simulator::schedule(Cycle max_cycles,
+                                    std::uint64_t max_instrs) {
   cpu::Core& primary = *ctx_[0]->core;
   const std::uint64_t committed_at_start = primary.stats().committed_instrs;
-
-  // Per-core scheduler state; the wedge backstop mirrors Core::run's
-  // (nothing committed for kWedgeCycles => malformed program).
-  struct Sched {
-    bool done = false;
-    Cycle last_progress = 0;
-    std::uint64_t last_committed = 0;
-  };
-  std::vector<Sched> sched(ctx_.size());
-  for (std::size_t i = 0; i < ctx_.size(); ++i) {
-    sched[i].done = ctx_[i]->core->finished();
-    sched[i].last_committed = ctx_[i]->core->stats().committed_instrs;
+  for (const auto& ctx : ctx_) {
+    ctx->done = ctx->core->finished();
+    ctx->last_progress = 0;
+    ctx->last_committed = ctx->core->stats().committed_instrs;
   }
-  const auto all_done = [&] {
-    for (const Sched& s : sched) {
-      if (!s.done) return false;
-    }
-    return true;
+  const auto all_done = [this] {
+    return std::all_of(ctx_.begin(), ctx_.end(),
+                       [](const auto& ctx) { return ctx->done; });
   };
 
-  // One global schedule cycle steps every live core once, core 0 first —
-  // fully deterministic. The cycle budget bounds *schedule* cycles, so a
+  // One schedule cycle steps every live core once, core 0 first — fully
+  // deterministic. The cycle budget bounds *schedule* cycles, so a
   // spinning secondary core cannot outlive it after core 0 finishes.
   Cycle t = 0;
   while (!all_done()) {
@@ -142,42 +128,45 @@ cpu::StopReason Simulator::run_multi(Cycle max_cycles,
     }
     // When every live core is idle, jump the whole schedule to the first
     // schedule cycle at which one can act, clamped to the budget and to
-    // each core's wedge-backstop cycle (which is then stepped, as below).
-    // Live cores step in lockstep, so each keeps a fixed offset between
-    // its own cycle and t.
+    // each core's wedge-backstop cycle, so both fire where stepping would.
+    // Live cores advance in lockstep, so each keeps a fixed offset
+    // between its own cycle and t.
     Cycle wake = max_cycles;
-    for (std::size_t i = 0; i < ctx_.size(); ++i) {
-      if (sched[i].done) continue;
-      const cpu::Core& core = *ctx_[i]->core;
+    for (const auto& ctx : ctx_) {
+      if (ctx->done) continue;
+      const cpu::Core& core = *ctx->core;
       const Cycle next = core.next_event_cycle();
       if (next != cpu::Core::kNeverCycle) {
         wake = std::min(wake, t + (next - core.now()));
       }
-      wake = std::min(wake,
-                      sched[i].last_progress + cpu::Core::kWedgeCycles + 1);
+      wake = std::min(wake, ctx->last_progress + cpu::Core::kWedgeCycles + 1);
     }
-    if (wake > t) {
-      for (std::size_t i = 0; i < ctx_.size(); ++i) {
-        cpu::Core& core = *ctx_[i]->core;
-        if (!sched[i].done) core.idle_to(core.now() + (wake - t));
+    const bool idle = wake > t;
+    const Cycle next_t = idle ? wake : t + 1;
+    for (const auto& ctx : ctx_) {
+      if (ctx->done) continue;
+      cpu::Core& core = *ctx->core;
+      if (idle) {
+        core.idle_to(core.now() + (next_t - t));
+      } else {
+        core.step();
       }
-      t = wake;
-      continue;
-    }
-    for (std::size_t i = 0; i < ctx_.size(); ++i) {
-      if (sched[i].done) continue;
-      cpu::Core& core = *ctx_[i]->core;
-      core.step();
+      // Progress is stamped with the schedule cycle after the committing
+      // step; the backstop is checked after idle jumps too.
       const std::uint64_t committed = core.stats().committed_instrs;
-      if (committed != sched[i].last_committed) {
-        sched[i].last_committed = committed;
-        sched[i].last_progress = t;
-      } else if (t - sched[i].last_progress > cpu::Core::kWedgeCycles) {
-        sched[i].done = true;  // wedged
+      if (committed != ctx->last_committed) {
+        ctx->last_committed = committed;
+        ctx->last_progress = next_t;
+      } else if (next_t - ctx->last_progress > cpu::Core::kWedgeCycles) {
+        // Nothing committed for kWedgeCycles: only malformed programs or
+        // machines get here.
+        LOG_WARN("core " << core.core_id() << " wedged at pc=0x" << std::hex
+                         << core.next_commit_pc());
+        ctx->done = true;
       }
-      if (core.finished()) sched[i].done = true;
+      if (core.finished()) ctx->done = true;
     }
-    ++t;
+    t = next_t;
   }
   // Every core ran to rest: report the primary core's fate. A halted
   // core carries its own reason (set at the halt/fault commit site); a
@@ -228,7 +217,7 @@ SimResult Simulator::run_sampled(const SamplingSpec& spec, Cycle max_cycles,
                                   Cycle& cycles) {
     const std::uint64_t c0 = core0.stats().committed_instrs;
     const Cycle y0 = core0.stats().cycles;
-    const auto seg_stop = core0.run(cycles_left, n);
+    const auto seg_stop = schedule(cycles_left, n);
     commits = core0.stats().committed_instrs - c0;
     cycles = core0.stats().cycles - y0;
     cycles_left = cycles >= cycles_left ? 0 : cycles_left - cycles;

@@ -9,8 +9,9 @@
 // per live core per global cycle, core 0 first. Each core runs its own
 // program against its own architectural memory — a private "process" — so
 // per-core architectural state is independent of the interleaving and
-// only *timing* couples cores (through the shared levels). cores=1 keeps
-// the exact historical single-core run loop.
+// only *timing* couples cores (through the shared levels). The one
+// stepping loop (Simulator::schedule) serves every core count, cores=1
+// included, and the detailed windows of sampled runs.
 #pragma once
 
 #include <cstdint>
@@ -193,11 +194,12 @@ class Simulator {
   std::uint64_t peek(Addr addr) const { return mem(0).read64(addr); }
   std::uint64_t peek_on(int c, Addr addr) const { return mem(c).read64(addr); }
 
-  /// Runs to completion (halt/fault/budget) and snapshots the result.
-  /// Multi-core: cores step round-robin (core 0 first) until every core
-  /// is finished or a budget trips; `max_cycles` bounds global schedule
-  /// cycles and `max_instrs` bounds core 0's committed instructions; the
-  /// stop reason reports core 0's fate.
+  /// Runs to completion (halt/fault/wedge/budget) and snapshots the
+  /// result. Cores step round-robin (core 0 first) until every core is
+  /// finished or wedged, or a budget trips; `max_cycles` bounds schedule
+  /// cycles and `max_instrs` bounds core 0's committed instructions, both
+  /// counted from this call; the stop reason reports core 0's fate. A
+  /// core already finished on entry is not stepped.
   SimResult run(Cycle max_cycles = 50'000'000,
                 std::uint64_t max_instrs = ~0ULL);
 
@@ -211,16 +213,6 @@ class Simulator {
   SimResult run_sampled(const SamplingSpec& spec,
                         Cycle max_cycles = 50'000'000,
                         std::uint64_t max_instrs = ~0ULL);
-
-  /// Sampled run under the simulator's own stored SamplingSpec (set at
-  /// build time from MachineSpec::sampling; disabled by default).
-  SimResult run_sampled_auto(Cycle max_cycles = 50'000'000,
-                             std::uint64_t max_instrs = ~0ULL) {
-    return run_sampled(sampling_, max_cycles, max_instrs);
-  }
-
-  const SamplingSpec& sampling() const { return sampling_; }
-  void set_sampling(const SamplingSpec& spec) { sampling_ = spec; }
 
   /// Restores a functional-engine checkpoint into the detailed machine
   /// (core 0): applies the memory delta (if any), installs the register
@@ -262,22 +254,28 @@ class Simulator {
 
  private:
   /// One core's private world: program copy, architectural memory, page
-  /// table, and the core itself. Held by pointer so the core's borrowed
-  /// program/memory/page-table addresses survive Simulator moves.
+  /// table, the core itself, and its state in the current schedule()
+  /// call. Held by pointer so the core's borrowed program/memory/page-table
+  /// addresses survive Simulator moves.
   struct CoreContext {
     explicit CoreContext(isa::Program p) : program(std::move(p)) {}
     isa::Program program;
     memory::MainMemory mem;
     memory::PageTable page_table;
     std::unique_ptr<cpu::Core> core;
+    bool done = false;                ///< finished or wedged: not stepped
+    Cycle last_progress = 0;          ///< schedule cycle after last commit
+    std::uint64_t last_committed = 0; ///< committed count at last_progress
   };
 
   void build_cores(const cpu::CoreConfig& config,
                    std::vector<isa::Program> programs);
 
-  /// The cores>1 run loop: deterministic round-robin, one cycle per live
-  /// core per global cycle, core 0 first.
-  cpu::StopReason run_multi(Cycle max_cycles, std::uint64_t max_instrs);
+  /// The stepping loop behind run() and run_sampled(), at every core
+  /// count: deterministic round-robin, one cycle per live core per
+  /// schedule cycle, core 0 first, with idle stretches skipped in one
+  /// jump. Budgets count from the call; returns core 0's stop reason.
+  cpu::StopReason schedule(Cycle max_cycles, std::uint64_t max_instrs);
 
   memory::MainMemory& mem(int c) { return ctx_[c]->mem; }
   const memory::MainMemory& mem(int c) const { return ctx_[c]->mem; }
@@ -285,7 +283,6 @@ class Simulator {
   std::unique_ptr<memory::SharedLevels> shared_levels_;
   std::vector<std::unique_ptr<CoreContext>> ctx_;
   std::unique_ptr<FunctionalEngine> engine_;  ///< lazy; see functional_engine()
-  SamplingSpec sampling_;  ///< disabled unless set_sampling() enables it
 };
 
 }  // namespace safespec::sim

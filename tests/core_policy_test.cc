@@ -938,10 +938,11 @@ TEST(SchedulerPins, FaultingStoreAtRobHeadRunsTheHandler) {
 }
 
 // ---- IdleSkip ---------------------------------------------------------------
-// Core::run and Simulator::run may jump over cycles in which no pipeline
-// stage can change state. These tests hold them to a plain loop of
-// Core::step() calls, one per cycle: every statistic the run produces,
-// including the per-cycle shadow occupancy histograms, must match.
+// Simulator::run, the one stepping loop at every core count, may jump
+// over cycles in which no pipeline stage can change state. These tests
+// hold it to a plain loop of Core::step() calls, one per cycle: every
+// statistic the run produces, including the per-cycle shadow occupancy
+// histograms, must match.
 
 /// Every observable a run leaves on one core, by name. Doubles are kept
 /// as their bit patterns, so the comparison is exact.
@@ -1019,7 +1020,8 @@ void expect_same(const Observed& run, const Observed& stepped,
 
 /// Steps every core of `sim` round-robin, core 0 first, one cycle each
 /// per round, until each core has finished or `max_cycles` rounds ran —
-/// Simulator::run's schedule without any cycle skipping.
+/// the schedule of Simulator::run's stepping loop without any cycle
+/// skipping or wedge backstop.
 void step_to_rest(sim::Simulator& sim, Cycle max_cycles) {
   std::vector<bool> done(static_cast<std::size_t>(sim.num_cores()));
   for (Cycle t = 0; t < max_cycles; ++t) {
@@ -1192,13 +1194,36 @@ TEST(IdleSkip, WedgeBackstopFiresOnTheSameCycle) {
     auto s = chase_sim(config);
     const sim::SimResult r = s.run();
     EXPECT_EQ(r.stop, cpu::StopReason::kFaultNoHandler) << cores;
-    // Pinned: cores=1 stops after the step that makes the gap 100'001
-    // cycles; the multi-core loop counts the gap in schedule cycles and
-    // steps once more.
-    const Cycle expected = cores == 1 ? 100'001 : 100'002;
+    // The loop stops once the no-commit gap reaches 100'001 cycles, at
+    // every core count.
     for (int c = 0; c < cores; ++c) {
-      EXPECT_EQ(s.core(c).stats().cycles, expected) << cores;
+      EXPECT_EQ(s.core(c).stats().cycles, 100'001u) << cores;
       EXPECT_EQ(s.core(c).stats().committed_instrs, 0u) << cores;
+    }
+  }
+}
+
+TEST(IdleSkip, RerunningACoreThatRanOffItsTextStepsNothing) {
+  // No halt: committed control flow runs off the end of the text, and
+  // the front end drains. A second run finds every core finished.
+  ProgramBuilder b(0x1000);
+  b.movi(1, 5).alui(AluOp::kAdd, 2, 1, 3);
+  auto prog = b.build();
+  prog.set_entry(0x1000);
+  for (const int cores : {1, 2}) {
+    sim::Simulator s(idle_skip_config("skylake", "WFC", cores), prog);
+    s.map_text();
+    const sim::SimResult first = s.run();
+    ASSERT_EQ(first.stop, cpu::StopReason::kFaultNoHandler) << cores;
+    ASSERT_EQ(s.core().reg(2), 8u) << cores;
+    std::vector<Cycle> cycles;
+    for (int c = 0; c < cores; ++c) {
+      ASSERT_TRUE(s.core(c).finished()) << cores;
+      cycles.push_back(s.core(c).stats().cycles);
+    }
+    EXPECT_EQ(s.run().stop, cpu::StopReason::kFaultNoHandler) << cores;
+    for (int c = 0; c < cores; ++c) {
+      EXPECT_EQ(s.core(c).stats().cycles, cycles[c]) << cores;
     }
   }
 }
@@ -1219,8 +1244,8 @@ TEST(Restart, PreservesMicroarchitecturalState) {
   ASSERT_TRUE(s.core().hierarchy().resident_l1(line_of(kData),
                                                memory::Side::kData));
   s.core().restart_at(phase2);
-  const auto r2 = s.core().run(100000);
-  EXPECT_EQ(r2, cpu::StopReason::kHalted);
+  const auto r2 = s.run(100000);
+  EXPECT_EQ(r2.stop, cpu::StopReason::kHalted);
   EXPECT_EQ(s.core().reg(3), 7u);
   EXPECT_TRUE(s.core().hierarchy().resident_l1(line_of(kData),
                                                memory::Side::kData));

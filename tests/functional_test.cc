@@ -158,7 +158,7 @@ TEST(FunctionalEquivalenceTest, AgreesAtEveryChunkBoundary) {
   int boundaries = 0;
   for (int chunk = 0; chunk < 400; ++chunk) {
     const std::uint64_t c0 = core.stats().committed_instrs;
-    const auto core_stop = core.run(1'000'000, 137);
+    const auto core_stop = sim->run(1'000'000, 137).stop;
     const std::uint64_t delta = core.stats().committed_instrs - c0;
 
     const auto engine_stop = engine.run(delta);

@@ -275,11 +275,11 @@ TEST(Dib, MidRunInvalidationChangesNothing) {
   auto plain = workloads::make_workload_sim(profile, config, kInstrs);
   auto invalidated = workloads::make_workload_sim(profile, config, kInstrs);
   const Cycle budget = kInstrs * 40 + 1'000'000;
-  plain->core().run(budget, 5'000);
-  invalidated->core().run(budget, 5'000);
+  plain->run(budget, 5'000);
+  invalidated->run(budget, 5'000);
   invalidated->core().invalidate_dib();
-  plain->core().run(budget, kInstrs);
-  invalidated->core().run(budget, kInstrs);
+  plain->run(budget, kInstrs);
+  invalidated->run(budget, kInstrs);
   EXPECT_EQ(plain->core().stats().cycles,
             invalidated->core().stats().cycles);
   EXPECT_EQ(plain->core().stats().committed_instrs,

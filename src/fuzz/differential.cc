@@ -88,8 +88,8 @@ ArchState oracle_state(const FuzzProgram& fp) {
 
 /// Stop reason for core `c`. The SimResult carries the primary's; a
 /// secondary reports its own (accurate for halted cores), maps a clean
-/// front-end drain to kFaultNoHandler like the single-core run loop, and
-/// otherwise inherits the run-level budget stop.
+/// front-end drain to kFaultNoHandler as Simulator::run does for core 0,
+/// and otherwise inherits the run-level budget stop.
 cpu::StopReason core_stop(const sim::Simulator& sim,
                           const sim::SimResult& res, int c) {
   if (c == 0) return res.stop;

@@ -1,9 +1,10 @@
 // Differential policy-invariance harness.
 //
 // For each seed: generate a program, compute its reference final
-// architectural state with the OracleInterpreter, then run the *same*
-// program through every protection policy x machine preset cell (via the
-// experiment engine's thread pool) and check three invariants per cell:
+// architectural state with the in-order sim::FunctionalEngine (the
+// "oracle"), then run the *same* program through every protection
+// policy x machine preset cell (via the experiment engine's thread pool)
+// and check three invariants per cell:
 //
 //   1. ORACLE EQUIVALENCE — the committed state (stop reason, committed
 //      instruction and fault counts, registers, memory image) equals the

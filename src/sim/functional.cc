@@ -138,7 +138,7 @@ StopReason FunctionalEngine::run(std::uint64_t max_instrs) {
     pc_ = program_->entry();
     started_ = true;
   }
-  // Budget on *committed* instructions, like Core::run: a faulting
+  // Budget on *committed* instructions, like Simulator::run: a faulting
   // instruction never commits and does not consume budget.
   const std::uint64_t headroom = ~std::uint64_t{0} - committed_;
   const std::uint64_t budget_end =

@@ -1,10 +1,10 @@
 // Fast functional (architecture-only) execution engine.
 //
-// The promoted form of the fuzz harness's in-order oracle
-// (src/fuzz/oracle.h wraps this class): one instruction per step, no
+// The fuzz harness's in-order reference interpreter (the differential
+// "oracle", src/fuzz/differential.h): one instruction per step, no
 // microarchitecture, producing exactly the committed architectural state
-// the out-of-order core produces. Promotion earned it the hot-path
-// treatment the detailed core got in PRs 4-5:
+// the out-of-order core produces. It is also the sampled-simulation
+// fast-forward path, so it gets the detailed core's hot-path treatment:
 //
 //   * the program text is predecoded into a dense slot table indexed by
 //     (pc - base) / kInstrBytes, so the per-instruction fetch is a
@@ -19,8 +19,7 @@
 // engine fast-forwards between detailed sample windows and hands the
 // architectural state across via ArchCheckpoint.
 //
-// Semantics are the oracle's, bit for bit (see oracle.h for the
-// rationale): faults bite at the faulting instruction's commit point and
+// Semantics: faults bite at the faulting instruction's commit point and
 // redirect to the program's fault handler (or end the run with
 // kFaultNoHandler); committed control flow reaching a pc with no
 // instruction ends the run; division by zero yields all-ones; the zero
@@ -83,7 +82,7 @@ class FunctionalEngine {
 
   /// Runs from the program entry (or wherever the previous run/restore
   /// left off) until halt, unrecoverable fault, or `max_instrs` further
-  /// committed instructions. Resumable, like Core::run.
+  /// committed instructions. Resumable, like Simulator::run.
   cpu::StopReason run(std::uint64_t max_instrs);
 
   std::uint64_t reg(RegIndex r) const { return regs_[r]; }

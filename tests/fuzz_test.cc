@@ -12,11 +12,11 @@
 #include "fuzz/differential.h"
 #include "fuzz/fuzz_spec.h"
 #include "fuzz/generator.h"
-#include "fuzz/oracle.h"
 #include "isa/program.h"
 #include "memory/main_memory.h"
 #include "memory/page_table.h"
 #include "safespec/policy.h"
+#include "sim/functional.h"
 #include "sim/machine.h"
 
 namespace safespec::fuzz {
@@ -57,18 +57,19 @@ struct OracleEnv {
     pt.map_identity(page_of(kKernel), /*kernel_only=*/true);
   }
 
-  cpu::StopReason run(const isa::Program& program, OracleInterpreter*& out,
+  cpu::StopReason run(const isa::Program& program,
+                      sim::FunctionalEngine*& out,
                       std::uint64_t max_instrs = 100000) {
-    oracle_storage.emplace_back(
-        new OracleInterpreter(&program, &mem, &pt));
+    oracle_storage.push_back(
+        std::make_unique<sim::FunctionalEngine>(&program, &mem, &pt));
     out = oracle_storage.back().get();
     return out->run(max_instrs);
   }
 
-  std::vector<std::unique_ptr<OracleInterpreter>> oracle_storage;
+  std::vector<std::unique_ptr<sim::FunctionalEngine>> oracle_storage;
 };
 
-// ---- OracleInterpreter: hand-computed states per opcode class -------------
+// ---- FunctionalEngine as the oracle: hand-computed states per opcode class
 
 TEST(OracleTest, MoviAndAluChain) {
   ProgramBuilder b(kText);
@@ -86,7 +87,7 @@ TEST(OracleTest, MoviAndAluChain) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(2), 15u);
   EXPECT_EQ(o->reg(3), 5u);
@@ -110,7 +111,7 @@ TEST(OracleTest, MulDivAndDivideByZero) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(2), 42u);
   EXPECT_EQ(o->reg(3), 8u);
@@ -132,7 +133,7 @@ TEST(OracleTest, LoadStoreAndMemoryImage) {
 
   OracleEnv env;
   env.mem.write64(kData, 0x1111);
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(3), 0xABCDu);
   EXPECT_EQ(o->reg(4), 0x1111u);
@@ -159,7 +160,7 @@ TEST(OracleTest, BranchLoopSumsCorrectly) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(2), 15u);
   EXPECT_EQ(o->committed(), 2u + 3u * 5u + 1u);
@@ -184,7 +185,7 @@ TEST(OracleTest, JumpAndIndirectBranch) {
   ASSERT_EQ(b.label_addr("landing"), kText + 7 * isa::kInstrBytes);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(1), 0u);
   EXPECT_EQ(o->reg(3), 42u);
@@ -203,7 +204,7 @@ TEST(OracleTest, CallLinksAndRetReturns) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(1), 111u);
   EXPECT_EQ(o->reg(isa::kLinkReg), kText + 2 * isa::kInstrBytes);
@@ -223,7 +224,7 @@ TEST(OracleTest, FlushFenceNopHaveNoArchitecturalEffect) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(3), 5u);
   EXPECT_EQ(o->committed(), 8u);
@@ -241,7 +242,7 @@ TEST(OracleTest, RdCycleReturnsCommittedCount) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(1), 2u);
 }
@@ -262,7 +263,7 @@ TEST(OracleTest, KernelLoadFaultsIntoHandler) {
 
   OracleEnv env;
   env.mem.write64(kKernel, 0x5EC7E7);  // the secret is there...
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kHalted);
   EXPECT_EQ(o->reg(2), 7u);   // ...but never architecturally visible
   EXPECT_EQ(o->reg(3), 0u);
@@ -281,7 +282,7 @@ TEST(OracleTest, KernelStoreFaultsAndWritesNothing) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kFaultNoHandler);
   EXPECT_EQ(o->faults(), 1u);
   EXPECT_TRUE(env.mem.nonzero_words().empty());
@@ -296,7 +297,7 @@ TEST(OracleTest, UnmappedLoadWithoutHandlerStops) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kFaultNoHandler);
   EXPECT_EQ(o->committed(), 1u);  // only the movi
   EXPECT_EQ(o->reg(2), 0u);
@@ -310,7 +311,7 @@ TEST(OracleTest, RunningOffTextStops) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o), cpu::StopReason::kFaultNoHandler);
   EXPECT_EQ(o->committed(), 2u);
 }
@@ -324,7 +325,7 @@ TEST(OracleTest, InstructionBudgetIsResumable) {
   p.set_entry(kText);
 
   OracleEnv env;
-  OracleInterpreter* o = nullptr;
+  sim::FunctionalEngine* o = nullptr;
   EXPECT_EQ(env.run(p, o, /*max_instrs=*/10), cpu::StopReason::kMaxInstrs);
   EXPECT_EQ(o->committed(), 10u);
   EXPECT_EQ(o->run(10), cpu::StopReason::kMaxInstrs);
@@ -360,7 +361,7 @@ TEST(GeneratorTest, GeneratedProgramsHaltWithinHint) {
     memory::MainMemory mem;
     memory::PageTable pt;
     apply_address_space(fp, mem, pt);
-    OracleInterpreter oracle(&fp.program, &mem, &pt);
+    sim::FunctionalEngine oracle(&fp.program, &mem, &pt);
     EXPECT_EQ(oracle.run(fp.max_instrs_hint), cpu::StopReason::kHalted)
         << "seed " << seed;
   }
@@ -386,7 +387,7 @@ TEST(GeneratorTest, FaultingScenariosActuallyFault) {
     memory::MainMemory mem;
     memory::PageTable pt;
     apply_address_space(fp, mem, pt);
-    OracleInterpreter oracle(&fp.program, &mem, &pt);
+    sim::FunctionalEngine oracle(&fp.program, &mem, &pt);
     EXPECT_EQ(oracle.run(fp.max_instrs_hint), cpu::StopReason::kHalted);
     total_faults += oracle.faults();
   }

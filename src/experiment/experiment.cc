@@ -7,8 +7,10 @@
 #include <cstring>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
+#include "trace/trace.h"
 #include "workloads/runner.h"
 
 namespace safespec::experiment {
@@ -276,6 +278,16 @@ sim::MachineSpec resolve_machine(const BenchOptions& options) {
             : sim::MachineSpec::from_json_file(options.config_path);
     for (const auto& kv : options.overrides) spec.set(kv);
     spec.validate();
+    // A trace file is read here once, so a bad path fails before any
+    // cell runs ("@" is the in-memory round-trip and reads no file).
+    if (!spec.trace.empty() && spec.trace != "@") {
+      try {
+        trace::read_trace_file(spec.trace);
+      } catch (const std::exception& e) {
+        throw std::runtime_error("trace \"" + spec.trace +
+                                 "\" could not be loaded: " + e.what());
+      }
+    }
     if (!spec.regions.empty() || !spec.pokes.empty()) {
       // Workload sweeps generate their own address space per cell; only
       // MachineBuilder-driven runs honour a spec's memory map.

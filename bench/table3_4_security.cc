@@ -40,6 +40,18 @@ int main(int argc, char** argv) {
   using attacks::AttackOutcome;
 
   const auto opts = experiment::parse_bench_args(argc, argv);
+  // The PoCs build their own attack machines, so a machine description
+  // on the command line would go unused: reject it instead of ignoring it.
+  const char* machine_flag = !opts.config_path.empty() ? "--config"
+                             : !opts.overrides.empty() ? "--set"
+                                                       : nullptr;
+  if (machine_flag != nullptr) {
+    std::fprintf(stderr,
+                 "%s: %s is not accepted: this bench builds its own attack "
+                 "machines\n",
+                 argv[0], machine_flag);
+    return 2;
+  }
   const experiment::ParallelRunner runner(opts.threads);
 
   const std::vector<std::string> policies = {"baseline", "WFB", "WFC",

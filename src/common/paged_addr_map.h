@@ -21,8 +21,10 @@ namespace safespec {
 
 /// Insert/lookup-only map keyed by Addr (no per-key erase; clear() drops
 /// everything — the same contract as AddrMap). Values must be
-/// default-constructible. Iteration order is unspecified.
-template <typename V>
+/// default-constructible. Iteration order is unspecified. A page holds
+/// 2^PageBits consecutive keys and is allocated when its first key is
+/// inserted.
+template <typename V, int PageBits = 12>
 class PagedAddrMap {
  public:
   PagedAddrMap() = default;
@@ -100,14 +102,16 @@ class PagedAddrMap {
   }
 
  private:
-  /// 4096 entries per page: one 64-bit-word page spans 32 KiB of data, a
-  /// text page spans 16 KiB of instructions — a handful of slabs covers
-  /// any workload region while a stray far-away key costs one slab.
-  static constexpr int kPageBits = 12;
+  /// 4096 entries per page by default: one 64-bit-word page spans 32 KiB
+  /// of data, a text page spans 16 KiB of instructions — a handful of
+  /// slabs covers any workload region while a stray far-away key costs
+  /// one slab.
+  static constexpr int kPageBits = PageBits;
   static constexpr std::size_t kPageEntries = std::size_t{1} << kPageBits;
   static constexpr Addr kPageMask = kPageEntries - 1;
   /// Directory reach: 2^20 pages (an 8 MiB pointer directory at worst)
-  /// covers keys below 2^32; anything higher goes to the overflow map.
+  /// covers keys below 2^(20 + PageBits), 2^32 at the default; anything
+  /// higher goes to the overflow map.
   static constexpr Addr kMaxDirectPages = Addr{1} << 20;
 
   struct Page {

@@ -85,7 +85,8 @@ Core::Core(const CoreConfig& config, const isa::Program* program,
   if (config_.dib_lines > 0) {
     std::size_t lines = 1;
     while (lines < static_cast<std::size_t>(config_.dib_lines)) lines *= 2;
-    dib_.resize(lines);
+    dib_block_lines_ = std::min(lines, kDibBlockLines);
+    dib_blocks_.resize(lines / dib_block_lines_);
     dib_mask_ = static_cast<Addr>(lines - 1);
   }
 }
@@ -93,7 +94,9 @@ Core::Core(const CoreConfig& config, const isa::Program* program,
 const isa::Instruction* Core::fetch_decode(Addr pc) {
   // Misaligned pcs (speculated indirect targets) are never occupied and
   // never cached — same answer program_->at() gives.
-  if (dib_.empty() || pc % isa::kInstrBytes != 0) return program_->at(pc);
+  if (dib_blocks_.empty() || pc % isa::kInstrBytes != 0) {
+    return program_->at(pc);
+  }
   const Addr line = pc >> kLineShift;
   const std::size_t slot = (pc & (kLineSize - 1)) / isa::kInstrBytes;
   // L0: sequential fetches stay on one line; skip even the indexed
@@ -102,7 +105,10 @@ const isa::Instruction* Core::fetch_decode(Addr pc) {
     ++stats_.dib_hits;
     return dib_last_->slots[slot];
   }
-  DibLine& entry = dib_[static_cast<std::size_t>(line & dib_mask_)];
+  const auto index = static_cast<std::size_t>(line & dib_mask_);
+  std::unique_ptr<DibLine[]>& block = dib_blocks_[index / kDibBlockLines];
+  if (!block) block = std::make_unique<DibLine[]>(dib_block_lines_);
+  DibLine& entry = block[index % kDibBlockLines];
   if (entry.tag == line) {
     ++stats_.dib_hits;
   } else {
@@ -119,7 +125,12 @@ const isa::Instruction* Core::fetch_decode(Addr pc) {
 }
 
 void Core::invalidate_dib() {
-  for (DibLine& entry : dib_) entry.tag = ~Addr{0};
+  for (const auto& block : dib_blocks_) {
+    if (!block) continue;
+    for (std::size_t i = 0; i < dib_block_lines_; ++i) {
+      block[i].tag = ~Addr{0};
+    }
+  }
   dib_last_ = nullptr;
   dib_last_line_ = ~Addr{0};
 }

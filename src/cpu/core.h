@@ -90,8 +90,10 @@ struct CoreConfig {
   /// hardware and never changes a cycle count (proven by test). 0
   /// disables it; other values round up to a power of two. The default
   /// covers the largest synthetic code footprint (gcc, ~263 lines)
-  /// without direct-map aliasing; a line is 136 host bytes, so this is
-  /// ~140 KB per core.
+  /// without direct-map aliasing. Lines are allocated on demand, in
+  /// blocks of 64 (a line is 136 host bytes, a block ~8.7 KB), the first
+  /// time a fetch maps to one, so a short run pays only for the blocks
+  /// its code touches, not ~140 KB per core.
   int dib_lines = 1024;
 
   Cycle alu_latency = 1;
@@ -469,12 +471,20 @@ class Core {
     std::array<const isa::Instruction*, kLineSize / isa::kInstrBytes>
         slots{};
   };
-  std::vector<DibLine> dib_;  ///< direct-mapped; empty when disabled
+  /// Lines per DIB block: blocks are allocated when a fetch first maps
+  /// to one of their lines (see CoreConfig::dib_lines).
+  static constexpr std::size_t kDibBlockLines = 64;
+  /// Direct-mapped, in blocks of min(kDibBlockLines, lines) lines (a
+  /// DIB smaller than one block is one short block); null until first
+  /// touched, and no blocks at all when the DIB is disabled.
+  std::vector<std::unique_ptr<DibLine[]>> dib_blocks_;
+  std::size_t dib_block_lines_ = 0;
   Addr dib_mask_ = 0;
   /// L0 over the DIB: the line the previous fetch_decode hit.
   /// Sequential fetches within a 64-byte line — the common case at any
   /// fetch width — resolve with one compare and one load. The pointer
-  /// stays valid because dib_ never resizes after construction.
+  /// stays valid because a block never moves or is freed before the
+  /// core is.
   const DibLine* dib_last_ = nullptr;
   Addr dib_last_line_ = ~Addr{0};
 

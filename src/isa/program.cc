@@ -13,13 +13,16 @@ void Program::place(Addr pc, const Instruction& inst, bool overwrite) {
   if (!overwrite && contains(pc)) {
     throw std::invalid_argument("Program::place: pc already occupied");
   }
-  text_[pc / kInstrBytes] = inst;
+  if (text_.use_count() > 1) {
+    text_ = std::make_shared<PagedAddrMap<Instruction>>(*text_);
+  }
+  (*text_)[pc / kInstrBytes] = inst;
 }
 
 std::vector<Addr> Program::pcs() const {
   std::vector<Addr> out;
-  out.reserve(text_.size());
-  text_.for_each([&out](Addr slot, const Instruction&) {
+  out.reserve(text_->size());
+  text_->for_each([&out](Addr slot, const Instruction&) {
     out.push_back(slot * kInstrBytes);
   });
   std::sort(out.begin(), out.end());

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -30,11 +31,11 @@ class Program {
   /// through speculated indirect targets — are never occupied.
   const Instruction* at(Addr pc) const {
     if (pc % kInstrBytes != 0) return nullptr;
-    return text_.find(pc / kInstrBytes);
+    return text_->find(pc / kInstrBytes);
   }
 
   bool contains(Addr pc) const { return at(pc) != nullptr; }
-  std::size_t size() const { return text_.size(); }
+  std::size_t size() const { return text_->size(); }
 
   Addr entry() const { return entry_; }
   void set_entry(Addr pc) { entry_ = pc; }
@@ -50,7 +51,13 @@ class Program {
  private:
   /// Fetch looks this up every instruction. Keyed by pc / kInstrBytes so
   /// consecutive instructions pack densely into the backing pages.
-  PagedAddrMap<Instruction> text_;
+  ///
+  /// Copies of a Program share one text: every machine built from a
+  /// program reads the same instructions, so copying a Program (once per
+  /// machine, and per core) costs a reference count rather than a copy
+  /// of its pages. place() copies the text first while it is shared.
+  std::shared_ptr<PagedAddrMap<Instruction>> text_ =
+      std::make_shared<PagedAddrMap<Instruction>>();
   Addr entry_ = 0;
   std::optional<Addr> fault_handler_;
 };

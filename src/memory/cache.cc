@@ -4,29 +4,32 @@
 
 namespace safespec::memory {
 
-Cache::Cache(const CacheConfig& config)
-    : config_(config), num_sets_(config.num_sets()) {
-  if (num_sets_ <= 0 || config_.ways <= 0) {
+namespace {
+
+int checked_num_sets(const CacheConfig& config) {
+  const int num_sets = config.num_sets();
+  if (num_sets <= 0 || config.ways <= 0) {
     throw std::invalid_argument("Cache: size/ways/line geometry invalid");
   }
-  if (config_.size_bytes % (static_cast<std::uint64_t>(config_.ways) *
-                            config_.line_bytes) !=
+  if (config.size_bytes % (static_cast<std::uint64_t>(config.ways) *
+                           config.line_bytes) !=
       0) {
     throw std::invalid_argument("Cache: size not divisible by way size");
   }
-  ways_.resize(static_cast<std::size_t>(num_sets_) * config_.ways);
-  repl_.reserve(num_sets_);
-  for (int s = 0; s < num_sets_; ++s) {
-    repl_.emplace_back(config_.policy, config_.ways,
-                       config_.seed + static_cast<std::uint64_t>(s));
-  }
+  return num_sets;
 }
 
+}  // namespace
+
+Cache::Cache(const CacheConfig& config)
+    : config_(config), num_sets_(checked_num_sets(config)),
+      sets_(config.policy, num_sets_, config.ways, config.seed) {}
+
 int Cache::find_way(int set, Addr line) const {
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
+  const Way* ways = sets_.find(set);
+  if (ways == nullptr) return -1;
   for (int w = 0; w < config_.ways; ++w) {
-    const Way& way = ways_[base + w];
-    if (way.valid && way.tag == line) return w;
+    if (ways[w].valid && ways[w].tag == line) return w;
   }
   return -1;
 }
@@ -36,7 +39,7 @@ bool Cache::access(Addr line, bool update_replacement, bool count_stats,
   const int set = set_of(line);
   const int way = find_way(set, line);
   if (way >= 0) {
-    if (update_replacement) repl_[set].touch(way, ++tick_, owner);
+    if (update_replacement) sets_.replacement(set).touch(way, ++tick_, owner);
     if (count_stats) ++pending_hits_;
     return true;
   }
@@ -49,26 +52,25 @@ bool Cache::probe(Addr line) const { return find_way(set_of(line), line) >= 0; }
 int Cache::owner_of(Addr line) const {
   const int set = set_of(line);
   const int way = find_way(set, line);
-  return way < 0 ? -1 : repl_[set].owner_of(way);
+  return way < 0 ? -1 : sets_.owner_of(set, way);
 }
 
 std::optional<Addr> Cache::fill(Addr line, int owner) {
   ++tick_;
   const int set = set_of(line);
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
+  Way* ways = sets_.ways(set);
+  ReplacementState repl = sets_.replacement(set);
 
   // Already present: refresh recency, no eviction.
   if (const int existing = find_way(set, line); existing >= 0) {
-    repl_[set].fill(existing, tick_, owner);
+    repl.fill(existing, tick_, owner);
     return std::nullopt;
   }
   // Free way available.
   for (int w = 0; w < config_.ways; ++w) {
-    Way& way = ways_[base + w];
-    if (!way.valid) {
-      way.valid = true;
-      way.tag = line;
-      repl_[set].fill(w, tick_, owner);
+    if (!ways[w].valid) {
+      ways[w] = {line, true};
+      repl.fill(w, tick_, owner);
       return std::nullopt;
     }
   }
@@ -79,21 +81,20 @@ std::optional<Addr> Cache::fill(Addr line, int owner) {
   int victim;
   bool forced = false;
   if (config_.protection == CacheProtection::kSharp) {
-    const VictimChoice choice = repl_[set].protected_victim(tick_, owner);
+    const VictimChoice choice = repl.protected_victim(tick_, owner);
     victim = choice.way;
     forced = choice.forced;
   } else {
-    victim = repl_[set].victim(tick_, owner);
+    victim = repl.victim(tick_, owner);
   }
-  if (repl_[set].owner_of(victim) != owner) {
+  if (repl.owner_of(victim) != owner) {
     ++cross_owner_evictions_;
     if (config_.protection == CacheProtection::kDetectOnly) record_alarm();
   }
   if (forced) record_alarm();
-  Way& way = ways_[base + victim];
-  const Addr evicted = way.tag;
-  way.tag = line;
-  repl_[set].fill(victim, tick_, owner);
+  const Addr evicted = ways[victim].tag;
+  ways[victim].tag = line;
+  repl.fill(victim, tick_, owner);
   return evicted;
 }
 
@@ -110,18 +111,12 @@ bool Cache::invalidate(Addr line) {
   const int set = set_of(line);
   const int way = find_way(set, line);
   if (way < 0) return false;
-  ways_[static_cast<std::size_t>(set) * config_.ways + way].valid = false;
+  sets_.ways(set)[way].valid = false;
   return true;
 }
 
-void Cache::flush_all() {
-  for (Way& way : ways_) way.valid = false;
-}
+void Cache::flush_all() { sets_.flush_all(); }
 
-std::size_t Cache::occupancy() const {
-  std::size_t n = 0;
-  for (const Way& way : ways_) n += way.valid ? 1 : 0;
-  return n;
-}
+std::size_t Cache::occupancy() const { return sets_.occupancy(); }
 
 }  // namespace safespec::memory

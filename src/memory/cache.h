@@ -45,6 +45,11 @@ struct CacheConfig {
 
 /// One level of cache. Addresses passed in are *line* numbers (byte
 /// address >> line shift) — the hierarchy does the conversion once.
+///
+/// Tags and replacement state live in a SetArray: a set's storage is
+/// allocated the first time a line is filled into it, so building a
+/// cache costs what its run touches, not its modelled size. A set that
+/// was never filled reads as empty to every lookup.
 class Cache {
  public:
   explicit Cache(const CacheConfig& config);
@@ -154,8 +159,7 @@ class Cache {
 
   CacheConfig config_;
   int num_sets_;
-  std::vector<Way> ways_;                       // num_sets_ * config_.ways
-  std::vector<ReplacementState> repl_;          // one per set
+  SetArray<Way> sets_;
   /// Replacement stamp clock: advanced only when a stamp is written
   /// (touch/fill). LRU/FIFO compare stamp order, not values, so skipping
   /// the bump on non-stamping accesses changes no eviction decision.

@@ -62,8 +62,10 @@ class PageTable {
   // PagedAddrMap, not the hash-based AddrMap: translate() sits on the
   // TLB-miss path of both the detailed walker and the functional engine,
   // and vpages are small dense keys — the direct page directory turns
-  // each lookup into two array indexings.
-  PagedAddrMap<Translation> table_;
+  // each lookup into two array indexings. Pages of 512 translations (one
+  // radix level, 8 KiB): a machine maps a few regions, and a default
+  // 4096-entry page would cost every fresh machine 64 KiB per region.
+  PagedAddrMap<Translation, 9> table_;
 };
 
 }  // namespace safespec::memory

@@ -1,10 +1,19 @@
-// Replacement-policy strategy for set-associative structures (caches and
-// TLBs). Kept as a tiny per-set state machine so the cache stays a plain
-// array of ways; policies are selected by enum rather than virtual
+// Replacement policy and on-demand set storage for set-associative
+// structures (caches and TLBs).
+//
+// A structure's ways and their replacement metadata live in a SetArray,
+// which allocates them on first fill in blocks of consecutive sets, so a
+// fresh machine pays only for the sets its run touches rather than for
+// the modelled capacity. A set that was never filled reads as empty.
+// Victim selection is one implementation (ReplacementState) shared by
+// Cache and Tlb; policies are selected by enum rather than virtual
 // dispatch — the simulator calls these on every access.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -33,10 +42,24 @@ struct VictimChoice {
   bool forced = false;  ///< no requester-owned way existed (SHARP alarm)
 };
 
-/// Per-set replacement metadata: one 64-bit stamp and one owner id per
-/// way. For LRU the stamp is last-touch time, for FIFO it is fill time,
-/// for Random it is unused. The owner supplies a monotonically increasing
-/// `tick`.
+/// Replacement metadata of one way. For LRU the stamp is last-touch time,
+/// for FIFO it is fill time, for Random it is unused. The owner is the
+/// context that filled the way.
+struct WayMeta {
+  std::uint64_t stamp = 0;
+  int owner = 0;
+};
+
+/// One set's replacement state: a view of that set's metadata and Rng
+/// inside the SetArray block that holds them (obtained from
+/// SetArray::replacement). The structure supplies a monotonically
+/// increasing `tick`.
+///
+/// The set's Rng is seeded with the set's own seed at its first draw.
+/// Only draws consume it, so the draw sequence is the one an Rng seeded
+/// when the structure was built would give, and a set that never draws
+/// never pays for seeding (LRU and FIFO sets draw only for SHARP's
+/// forced evictions).
 ///
 /// The `owner` parameter is the requesting context (core id in the
 /// multi-core simulator, 0 for single-core structures such as TLBs).
@@ -47,40 +70,29 @@ struct VictimChoice {
 /// line.
 class ReplacementState {
  public:
-  ReplacementState(ReplPolicy policy, int num_ways, std::uint64_t seed)
-      : policy_(policy), stamps_(num_ways, 0), owners_(num_ways, 0),
-        rng_(seed) {}
+  ReplacementState(ReplPolicy policy, int num_ways, WayMeta* meta,
+                   std::optional<Rng>* rng, std::uint64_t rng_seed)
+      : policy_(policy), num_ways_(num_ways), meta_(meta), rng_(rng),
+        rng_seed_(rng_seed) {}
 
   /// Notes that `way` was touched (hit) at time `tick` by `owner`. A hit
   /// refreshes recency but does not transfer ownership: the line belongs
   /// to the context that filled it.
   void touch(int way, std::uint64_t tick, int owner = 0) {
     (void)owner;
-    if (policy_ == ReplPolicy::kLru) stamps_[way] = tick;
+    if (policy_ == ReplPolicy::kLru) meta_[way].stamp = tick;
   }
 
   /// Notes that `way` was (re)filled at time `tick` by `owner`.
   void fill(int way, std::uint64_t tick, int owner = 0) {
-    stamps_[way] = tick;
-    owners_[way] = owner;
+    meta_[way] = {tick, owner};
   }
 
   /// Chooses a victim way for a fill by `owner`. Only called when every
   /// way of the set is occupied — the caller prefers invalid ways itself.
   /// Ties on equal stamps resolve to the lowest way index (LRU/FIFO);
   /// kRandom draws from the per-set seeded Rng and ignores stamps.
-  int victim(std::uint64_t /*tick*/, int owner = 0) {
-    (void)owner;
-    if (policy_ == ReplPolicy::kRandom) {
-      return static_cast<int>(rng_.below(stamps_.size()));
-    }
-    // LRU and FIFO both evict the smallest stamp.
-    int best = 0;
-    for (int w = 1; w < static_cast<int>(stamps_.size()); ++w) {
-      if (stamps_[w] < stamps_[best]) best = w;
-    }
-    return best;
-  }
+  int victim(std::uint64_t tick, int owner = 0);
 
   /// SHARP-style victim choice for a fill by `owner`: ways owned by other
   /// contexts are skipped and the base policy picks among the requester's
@@ -91,43 +103,131 @@ class ReplacementState {
   /// *forced*: a uniformly random way is evicted and the caller raises an
   /// alarm (tier 3). When every way belongs to the requester — always the
   /// case at cores=1 — the result is bit-identical to victim(), including
-  /// the kRandom draw sequence (one rng_.below() of the same bound).
-  VictimChoice protected_victim(std::uint64_t /*tick*/, int owner) {
-    const int num_ways = static_cast<int>(owners_.size());
-    int candidates = 0;
-    for (int w = 0; w < num_ways; ++w) {
-      if (owners_[w] == owner) ++candidates;
-    }
-    if (candidates == 0) {
-      return {static_cast<int>(rng_.below(stamps_.size())), true};
-    }
-    if (policy_ == ReplPolicy::kRandom) {
-      int nth = static_cast<int>(
-          rng_.below(static_cast<std::uint64_t>(candidates)));
-      for (int w = 0; w < num_ways; ++w) {
-        if (owners_[w] == owner && nth-- == 0) return {w, false};
-      }
-    }
-    // LRU and FIFO both evict the smallest stamp among the candidates,
-    // lowest way on ties — the same rule victim() applies to all ways.
-    int best = -1;
-    for (int w = 0; w < num_ways; ++w) {
-      if (owners_[w] != owner) continue;
-      if (best < 0 || stamps_[w] < stamps_[best]) best = w;
-    }
-    return {best, false};
-  }
+  /// the kRandom draw sequence (one Rng::below() of the same bound).
+  VictimChoice protected_victim(std::uint64_t tick, int owner);
 
   /// The context that filled `way` (see fill()).
-  int owner_of(int way) const { return owners_[way]; }
+  int owner_of(int way) const { return meta_[way].owner; }
 
   ReplPolicy policy() const { return policy_; }
 
  private:
+  /// Uniform draw in [0, bound) from the set's Rng, seeding it first.
+  int draw_below(int bound);
+
   ReplPolicy policy_;
-  std::vector<std::uint64_t> stamps_;
-  std::vector<int> owners_;  ///< filling context per way
-  Rng rng_;
+  int num_ways_;
+  WayMeta* meta_;
+  std::optional<Rng>* rng_;
+  std::uint64_t rng_seed_;
+};
+
+/// The ways of a set-associative structure plus their replacement state,
+/// allocated on demand. Sets are grouped in blocks of kSetsPerBlock
+/// consecutive sets; a block is allocated, value-initialised, the first
+/// time one of its sets is filled, and is kept until the array is
+/// destroyed. Blocks stay small (a 16-way level's block is about 9 KB),
+/// so they are carved from the heap rather than mapped as fresh pages
+/// that fault on first touch, as one array per level would be.
+///
+/// Each set's Rng is seeded `seed + set`, at the set's first draw (see
+/// ReplacementState), so every draw is the one an eagerly seeded array
+/// would make, whatever order the sets are first touched in. flush_all()
+/// leaves the blocks (and so every set's Rng position) in place.
+///
+/// `Way` is the structure's per-way payload; it must have a `bool valid`
+/// member that value-initialises to false.
+template <typename Way>
+class SetArray {
+ public:
+  static constexpr int kSetsPerBlock = 16;
+
+  SetArray(ReplPolicy policy, int num_sets, int num_ways, std::uint64_t seed)
+      : policy_(policy), num_sets_(num_sets), num_ways_(num_ways),
+        seed_(seed),
+        blocks_(static_cast<std::size_t>(num_sets + kSetsPerBlock - 1) /
+                kSetsPerBlock) {}
+
+  /// The ways of `set`, or nullptr when the set was never filled (every
+  /// way then reads as invalid).
+  const Way* find(int set) const {
+    const Block& block = blocks_[block_of(set)];
+    return block.ways ? &block.ways[way_base(set)] : nullptr;
+  }
+
+  /// The ways of `set`, allocating its block on first use.
+  Way* ways(int set) { return &block(set).ways[way_base(set)]; }
+
+  /// The replacement state of `set`, allocating its block on first use.
+  ReplacementState replacement(int set) {
+    Block& b = block(set);
+    return {policy_, num_ways_, &b.meta[way_base(set)],
+            &b.rng[set_in_block(set)],
+            seed_ + static_cast<std::uint64_t>(set)};
+  }
+
+  /// The context that filled `way` of an allocated `set`.
+  int owner_of(int set, int way) const {
+    return blocks_[block_of(set)]
+        .meta[way_base(set) + static_cast<std::size_t>(way)]
+        .owner;
+  }
+
+  /// Marks every way invalid. Replacement state is kept.
+  void flush_all() {
+    for (Block& b : blocks_) {
+      for (std::size_t i = 0; i < b.size; ++i) b.ways[i].valid = false;
+    }
+  }
+
+  /// Number of valid ways.
+  std::size_t occupancy() const {
+    std::size_t n = 0;
+    for (const Block& b : blocks_) {
+      for (std::size_t i = 0; i < b.size; ++i) n += b.ways[i].valid ? 1 : 0;
+    }
+    return n;
+  }
+
+ private:
+  struct Block {
+    std::size_t size = 0;  ///< ways in this block (0 until allocated)
+    std::unique_ptr<Way[]> ways;
+    std::unique_ptr<WayMeta[]> meta;
+    std::unique_ptr<std::optional<Rng>[]> rng;  ///< one per set
+  };
+
+  static std::size_t block_of(int set) {
+    return static_cast<std::size_t>(set) / kSetsPerBlock;
+  }
+  static std::size_t set_in_block(int set) {
+    return static_cast<std::size_t>(set) % kSetsPerBlock;
+  }
+  std::size_t way_base(int set) const {
+    return set_in_block(set) * static_cast<std::size_t>(num_ways_);
+  }
+
+  Block& block(int set) {
+    Block& b = blocks_[block_of(set)];
+    if (!b.ways) allocate(b, set - static_cast<int>(set_in_block(set)));
+    return b;
+  }
+
+  void allocate(Block& b, int first_set) {
+    const int sets = std::min(kSetsPerBlock, num_sets_ - first_set);
+    b.size = static_cast<std::size_t>(sets) *
+             static_cast<std::size_t>(num_ways_);
+    b.ways = std::make_unique<Way[]>(b.size);
+    b.meta = std::make_unique<WayMeta[]>(b.size);
+    b.rng = std::make_unique<std::optional<Rng>[]>(
+        static_cast<std::size_t>(sets));
+  }
+
+  ReplPolicy policy_;
+  int num_sets_;
+  int num_ways_;
+  std::uint64_t seed_;
+  std::vector<Block> blocks_;
 };
 
 }  // namespace safespec::memory

@@ -4,25 +4,27 @@
 
 namespace safespec::memory {
 
-Tlb::Tlb(const TlbConfig& config)
-    : config_(config), num_sets_(config.num_sets()) {
-  if (config_.entries <= 0 || config_.ways <= 0 ||
-      config_.entries % config_.ways != 0) {
+namespace {
+
+int checked_num_sets(const TlbConfig& config) {
+  if (config.entries <= 0 || config.ways <= 0 ||
+      config.entries % config.ways != 0) {
     throw std::invalid_argument("Tlb: entries must divide evenly into ways");
   }
-  ways_.resize(static_cast<std::size_t>(config_.entries));
-  repl_.reserve(num_sets_);
-  for (int s = 0; s < num_sets_; ++s) {
-    repl_.emplace_back(config_.policy, config_.ways,
-                       config_.seed + static_cast<std::uint64_t>(s));
-  }
+  return config.num_sets();
 }
 
+}  // namespace
+
+Tlb::Tlb(const TlbConfig& config)
+    : config_(config), num_sets_(checked_num_sets(config)),
+      sets_(config.policy, num_sets_, config.ways, config.seed) {}
+
 int Tlb::find_way(int set, Addr vpage) const {
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
+  const Way* ways = sets_.find(set);
+  if (ways == nullptr) return -1;
   for (int w = 0; w < config_.ways; ++w) {
-    const Way& way = ways_[base + w];
-    if (way.valid && way.entry.vpage == vpage) return w;
+    if (ways[w].valid && ways[w].entry.vpage == vpage) return w;
   }
   return -1;
 }
@@ -31,9 +33,9 @@ std::optional<TlbEntry> Tlb::access(Addr vpage) {
   const int set = set_of(vpage);
   const int way = find_way(set, vpage);
   if (way >= 0) {
-    repl_[set].touch(way, ++tick_);
+    sets_.replacement(set).touch(way, ++tick_);
     ++pending_hits_;
-    return ways_[static_cast<std::size_t>(set) * config_.ways + way].entry;
+    return sets_.ways(set)[way].entry;
   }
   ++pending_misses_;
   return std::nullopt;
@@ -46,27 +48,25 @@ bool Tlb::probe(Addr vpage) const {
 std::optional<Addr> Tlb::fill(const TlbEntry& entry) {
   ++tick_;
   const int set = set_of(entry.vpage);
-  const std::size_t base = static_cast<std::size_t>(set) * config_.ways;
+  Way* ways = sets_.ways(set);
+  ReplacementState repl = sets_.replacement(set);
 
   if (const int existing = find_way(set, entry.vpage); existing >= 0) {
-    ways_[base + existing].entry = entry;
-    repl_[set].fill(existing, tick_);
+    ways[existing].entry = entry;
+    repl.fill(existing, tick_);
     return std::nullopt;
   }
   for (int w = 0; w < config_.ways; ++w) {
-    Way& way = ways_[base + w];
-    if (!way.valid) {
-      way.valid = true;
-      way.entry = entry;
-      repl_[set].fill(w, tick_);
+    if (!ways[w].valid) {
+      ways[w] = {entry, true};
+      repl.fill(w, tick_);
       return std::nullopt;
     }
   }
-  const int victim = repl_[set].victim(tick_);
-  Way& way = ways_[base + victim];
-  const Addr evicted = way.entry.vpage;
-  way.entry = entry;
-  repl_[set].fill(victim, tick_);
+  const int victim = repl.victim(tick_);
+  const Addr evicted = ways[victim].entry.vpage;
+  ways[victim].entry = entry;
+  repl.fill(victim, tick_);
   return evicted;
 }
 
@@ -74,18 +74,12 @@ bool Tlb::invalidate(Addr vpage) {
   const int set = set_of(vpage);
   const int way = find_way(set, vpage);
   if (way < 0) return false;
-  ways_[static_cast<std::size_t>(set) * config_.ways + way].valid = false;
+  sets_.ways(set)[way].valid = false;
   return true;
 }
 
-void Tlb::flush_all() {
-  for (Way& way : ways_) way.valid = false;
-}
+void Tlb::flush_all() { sets_.flush_all(); }
 
-std::size_t Tlb::occupancy() const {
-  std::size_t n = 0;
-  for (const Way& way : ways_) n += way.valid ? 1 : 0;
-  return n;
-}
+std::size_t Tlb::occupancy() const { return sets_.occupancy(); }
 
 }  // namespace safespec::memory

@@ -31,7 +31,9 @@ struct TlbEntry {
   bool kernel_only = false;
 };
 
-/// Set-associative TLB keyed by virtual page number.
+/// Set-associative TLB keyed by virtual page number. Like Cache, its
+/// sets are allocated on first fill (see SetArray); a never-filled set
+/// reads as empty.
 class Tlb {
  public:
   explicit Tlb(const TlbConfig& config);
@@ -87,8 +89,7 @@ class Tlb {
 
   TlbConfig config_;
   int num_sets_;
-  std::vector<Way> ways_;
-  std::vector<ReplacementState> repl_;
+  SetArray<Way> sets_;
   /// Stamp clock, advanced only at stamp-writing events (see Cache).
   std::uint64_t tick_ = 0;
   mutable HitMiss stats_;

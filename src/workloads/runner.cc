@@ -29,10 +29,12 @@ std::unique_ptr<sim::Simulator> make_image_sim(
                        region.kernel ? memory::PagePerm::kKernel
                                      : memory::PagePerm::kUser);
   }
-  for (const auto& [addr, value] : image.init_words) {
-    builder.poke(addr, value);
-  }
-  return builder.build(std::move(image.program));
+  // The image's words go straight into the built machine's memory, as
+  // build() would apply them last, rather than through a second copy in
+  // the builder's spec (megabytes for the larger profiles).
+  auto sim = builder.build(std::move(image.program));
+  for (const auto& [addr, value] : image.init_words) sim->poke(addr, value);
+  return sim;
 }
 
 sim::SimResult run_workload(const WorkloadProfile& profile,

@@ -169,9 +169,18 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementSweep,
                                            ReplPolicy::kRandom));
 
 // ---- ReplacementState: victim tie-breaks and owner attribution -------------
+//
+// Victim selection lives in ReplacementState, the view of one set's
+// replacement state inside a SetArray; these tests drive one-set, 4-way
+// arrays (num_sets = 1, num_ways = 4).
+
+struct BareWay {
+  bool valid = false;
+};
 
 TEST(Replacement, LruTieBreaksToLowestWay) {
-  ReplacementState repl(ReplPolicy::kLru, 4, /*seed=*/1);
+  SetArray<BareWay> one_set(ReplPolicy::kLru, 1, 4, /*seed=*/1);
+  ReplacementState repl = one_set.replacement(0);
   for (int w = 0; w < 4; ++w) repl.fill(w, /*tick=*/10);
   EXPECT_EQ(repl.victim(11), 0);  // equal stamps: lowest way index wins
   repl.touch(0, 12);              // LRU: a hit rescues way 0
@@ -179,7 +188,8 @@ TEST(Replacement, LruTieBreaksToLowestWay) {
 }
 
 TEST(Replacement, FifoTieBreaksToLowestWayAndIgnoresTouches) {
-  ReplacementState repl(ReplPolicy::kFifo, 4, /*seed=*/1);
+  SetArray<BareWay> one_set(ReplPolicy::kFifo, 1, 4, /*seed=*/1);
+  ReplacementState repl = one_set.replacement(0);
   for (int w = 0; w < 4; ++w) repl.fill(w, /*tick=*/10);
   EXPECT_EQ(repl.victim(11), 0);
   repl.touch(0, 12);  // FIFO: hits never refresh the insertion stamp
@@ -189,7 +199,8 @@ TEST(Replacement, FifoTieBreaksToLowestWayAndIgnoresTouches) {
 }
 
 TEST(Replacement, OwnerRecordedOnFillNotOnTouch) {
-  ReplacementState repl(ReplPolicy::kLru, 2, /*seed=*/1);
+  SetArray<BareWay> one_set(ReplPolicy::kLru, 1, 2, /*seed=*/1);
+  ReplacementState repl = one_set.replacement(0);
   repl.fill(0, 1, /*owner=*/3);
   EXPECT_EQ(repl.owner_of(0), 3);
   repl.touch(0, 2, /*owner=*/1);  // a remote hit does not transfer ownership
@@ -202,7 +213,8 @@ TEST(Replacement, VictimChoiceIsOwnerBlind) {
   // The owner input is attribution only: the policy must pick the same
   // victim no matter which core asks, or cores=1 bit-identity would break
   // the moment a second core shares the level.
-  ReplacementState repl(ReplPolicy::kLru, 4, /*seed=*/1);
+  SetArray<BareWay> one_set(ReplPolicy::kLru, 1, 4, /*seed=*/1);
+  ReplacementState repl = one_set.replacement(0);
   repl.fill(0, 10, /*owner=*/0);
   repl.fill(1, 11, /*owner=*/1);
   repl.fill(2, 12, /*owner=*/0);
@@ -215,7 +227,8 @@ TEST(Replacement, ProtectedVictimPrefersRequesterOwnedWays) {
   // SHARP tiers 1/2: never victimize another owner's way while the
   // requester owns one; the base policy (here LRU) picks among the
   // requester's own ways.
-  ReplacementState repl(ReplPolicy::kLru, 4, /*seed=*/1);
+  SetArray<BareWay> one_set(ReplPolicy::kLru, 1, 4, /*seed=*/1);
+  ReplacementState repl = one_set.replacement(0);
   repl.fill(0, 10, /*owner=*/0);
   repl.fill(1, 11, /*owner=*/1);
   repl.fill(2, 12, /*owner=*/0);
@@ -232,7 +245,8 @@ TEST(Replacement, ProtectedVictimPrefersRequesterOwnedWays) {
 TEST(Replacement, ProtectedVictimForcedWhenSetFullyForeignOwned) {
   // SHARP tier 3: with zero requester-owned ways the choice falls back
   // to random-among-all and is flagged forced (the alarm trigger).
-  ReplacementState repl(ReplPolicy::kLru, 4, /*seed=*/1);
+  SetArray<BareWay> one_set(ReplPolicy::kLru, 1, 4, /*seed=*/1);
+  ReplacementState repl = one_set.replacement(0);
   for (int w = 0; w < 4; ++w) repl.fill(w, 10 + w, /*owner=*/0);
   const auto choice = repl.protected_victim(20, /*owner=*/1);
   EXPECT_TRUE(choice.forced);
@@ -247,8 +261,10 @@ TEST(Replacement, ProtectedVictimMatchesVictimWhenSingleOwner) {
   // to SHARP would change single-core cycle counts.
   for (ReplPolicy policy :
        {ReplPolicy::kLru, ReplPolicy::kFifo, ReplPolicy::kRandom}) {
-    ReplacementState a(policy, 4, /*seed=*/7);
-    ReplacementState b(policy, 4, /*seed=*/7);
+    SetArray<BareWay> a_set(policy, 1, 4, /*seed=*/7);
+    ReplacementState a = a_set.replacement(0);
+    SetArray<BareWay> b_set(policy, 1, 4, /*seed=*/7);
+    ReplacementState b = b_set.replacement(0);
     for (int w = 0; w < 4; ++w) {
       a.fill(w, 10 + w);
       b.fill(w, 10 + w);
@@ -261,6 +277,136 @@ TEST(Replacement, ProtectedVictimMatchesVictimWhenSingleOwner) {
       EXPECT_EQ(choice.way, b.victim(t, /*owner=*/0));
     }
   }
+}
+
+// ---- Set storage: never-filled sets and per-set random sequences ----------
+//
+// The expected victim sequences below were recorded from the eagerly
+// allocated layout (one replacement state per set, seeded config.seed +
+// set at construction). Allocating sets on first fill must reproduce
+// them exactly, whatever order the sets are first touched in.
+
+CacheConfig sixty_four_set_cache(ReplPolicy policy = ReplPolicy::kLru) {
+  CacheConfig cfg = small_cache(policy);
+  cfg.size_bytes = 16384;  // 4 ways x 64 sets
+  return cfg;
+}
+
+/// Fills `count` distinct lines into `set` of a 64-set cache and returns
+/// the line each full-set fill evicted. With `fresh_owners` every fill
+/// comes from a new owner, so under SHARP each eviction is forced.
+std::vector<Addr> fill_set(Cache& c, Addr set, int count,
+                           bool fresh_owners = false) {
+  std::vector<Addr> evicted;
+  for (int k = 0; k < count; ++k) {
+    const auto victim =
+        c.fill(set + 64 * static_cast<Addr>(k), fresh_owners ? k : 0);
+    if (victim) evicted.push_back(*victim);
+  }
+  return evicted;
+}
+
+std::vector<Addr> fill_set(Tlb& t, Addr set, int count) {
+  std::vector<Addr> evicted;
+  for (int k = 0; k < count; ++k) {
+    const Addr vpage = set + 64 * static_cast<Addr>(k);
+    if (const auto victim = t.fill({vpage, vpage, false})) {
+      evicted.push_back(*victim);
+    }
+  }
+  return evicted;
+}
+
+TEST(SetStorage, NeverFilledSetReadsEmpty) {
+  Cache c(sixty_four_set_cache());
+  EXPECT_EQ(c.occupancy(), 0u);
+  c.flush_all();  // nothing resident yet
+  EXPECT_EQ(c.occupancy(), 0u);
+  c.fill(3, /*owner=*/2);
+  // Set 4 shares set 3's block of 16 sets; sets 40 and 63 lie in others.
+  for (const Addr line : {Addr{4}, Addr{40}, Addr{63}, Addr{63 + 64}}) {
+    EXPECT_FALSE(c.probe(line)) << line;
+    EXPECT_EQ(c.owner_of(line), -1) << line;
+    EXPECT_FALSE(c.invalidate(line)) << line;
+    EXPECT_FALSE(c.access(line)) << line;
+  }
+  EXPECT_EQ(c.occupancy(), 1u);
+  EXPECT_EQ(c.owner_of(3), 2);
+  EXPECT_EQ(c.stats().misses.value(), 4u);
+
+  Tlb t({.name = "t", .entries = 256, .ways = 4});  // 64 sets
+  EXPECT_EQ(t.occupancy(), 0u);
+  t.fill({3, 30, false});
+  for (const Addr vpage : {Addr{4}, Addr{40}, Addr{63}}) {
+    EXPECT_FALSE(t.probe(vpage)) << vpage;
+    EXPECT_FALSE(t.invalidate(vpage)) << vpage;
+    EXPECT_FALSE(t.access(vpage).has_value()) << vpage;
+  }
+  EXPECT_EQ(t.occupancy(), 1u);
+  t.flush_all();
+  EXPECT_EQ(t.occupancy(), 0u);
+}
+
+TEST(SetStorage, RandomVictimsDoNotDependOnFirstTouchOrder) {
+  Cache ab(sixty_four_set_cache(ReplPolicy::kRandom));
+  Cache ba(sixty_four_set_cache(ReplPolicy::kRandom));
+  const auto a_first = fill_set(ab, 3, 12);
+  const auto b_second = fill_set(ab, 40, 12);
+  const auto b_first = fill_set(ba, 40, 12);
+  const auto a_second = fill_set(ba, 3, 12);
+  EXPECT_EQ(a_first, a_second);
+  EXPECT_EQ(b_first, b_second);
+  EXPECT_EQ(a_first, (std::vector<Addr>{67, 195, 259, 323, 3, 131, 387, 579}));
+  EXPECT_EQ(b_first,
+            (std::vector<Addr>{168, 40, 296, 424, 104, 552, 488, 680}));
+}
+
+TEST(SetStorage, SharpForcedVictimsDoNotDependOnFirstTouchOrder) {
+  CacheConfig cfg = sixty_four_set_cache(ReplPolicy::kLru);
+  cfg.protection = CacheProtection::kSharp;
+  Cache ab(cfg);
+  Cache ba(cfg);
+  const auto a_first = fill_set(ab, 3, 12, /*fresh_owners=*/true);
+  const auto b_second = fill_set(ab, 40, 12, /*fresh_owners=*/true);
+  const auto b_first = fill_set(ba, 40, 12, /*fresh_owners=*/true);
+  const auto a_second = fill_set(ba, 3, 12, /*fresh_owners=*/true);
+  EXPECT_EQ(a_first, a_second);
+  EXPECT_EQ(b_first, b_second);
+  EXPECT_EQ(a_first, (std::vector<Addr>{67, 195, 259, 323, 3, 131, 387, 579}));
+  EXPECT_EQ(b_first,
+            (std::vector<Addr>{168, 40, 296, 424, 104, 552, 488, 680}));
+  EXPECT_EQ(ab.sharp_alarms(), 16u);  // every full-set fill was forced
+  EXPECT_EQ(ba.sharp_alarms(), 16u);
+}
+
+TEST(SetStorage, FlushAllDoesNotRestartASetsRandomSequence) {
+  Cache c(sixty_four_set_cache(ReplPolicy::kRandom));
+  const auto before = fill_set(c, 3, 12);
+  c.flush_all();
+  EXPECT_EQ(c.occupancy(), 0u);
+  const auto after = fill_set(c, 3, 12);
+  EXPECT_NE(after, before);  // a restarted sequence would replay `before`
+  EXPECT_EQ(after, (std::vector<Addr>{3, 67, 259, 195, 323, 131, 579, 515}));
+}
+
+TEST(SetStorage, TlbRandomVictimsFollowTheSameRules) {
+  const TlbConfig cfg{.name = "t", .entries = 256, .ways = 4,
+                      .policy = ReplPolicy::kRandom};
+  Tlb ab(cfg);
+  Tlb ba(cfg);
+  const auto a_first = fill_set(ab, 3, 12);
+  const auto b_second = fill_set(ab, 40, 12);
+  const auto b_first = fill_set(ba, 40, 12);
+  const auto a_second = fill_set(ba, 3, 12);
+  EXPECT_EQ(a_first, a_second);
+  EXPECT_EQ(b_first, b_second);
+  EXPECT_EQ(a_first, (std::vector<Addr>{195, 67, 3, 387, 323, 451, 259, 579}));
+  EXPECT_EQ(b_first,
+            (std::vector<Addr>{104, 168, 40, 296, 360, 488, 552, 616}));
+  ab.flush_all();
+  const auto after = fill_set(ab, 3, 12);
+  EXPECT_NE(after, a_first);
+  EXPECT_EQ(after, (std::vector<Addr>{195, 131, 323, 3, 67, 387, 259, 579}));
 }
 
 TEST(Cache, SharpForcedEvictionsAlarmAndCrossThreshold) {

@@ -100,11 +100,15 @@ BENCHMARK(BM_PredictorPerceptron);
 /// Whole-core simulation rate (committed instructions per host second),
 /// reported as items/s.
 void BM_CoreSimulationRate(benchmark::State& state) {
-  const auto profile = workloads::profile_by_name("x264");
-  auto config = sim::machine_preset("skylake").core;
-  config.policy = state.range(0) != 0 ? "WFC" : "baseline";
+  const auto machine = sim::machine_preset("skylake");
+  const auto cell = experiment::make_cell(
+      workloads::profile_by_name("x264"), machine,
+      experiment::named_variant(machine, state.range(0) != 0 ? "WFC"
+                                                             : "baseline")
+          .config,
+      10'000);
   for (auto _ : state) {
-    const auto result = workloads::run_workload(profile, config, 10'000);
+    const auto result = experiment::run_cell(cell);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(
                                 result.committed_instrs));

@@ -64,6 +64,17 @@ cpu::MutationHooks mutation_hooks(const std::string& mutate) {
   return hooks;
 }
 
+/// The grid's presets, each with the overrides applied, validated and
+/// its trace file readable (experiment::resolve_machine).
+std::vector<sim::MachineSpec> grid_machines(const Manifest& m) {
+  std::vector<sim::MachineSpec> machines;
+  for (const std::string& p : m.grid.presets) {
+    machines.push_back(
+        experiment::resolve_machine(sim::machine_preset(p), m.grid.overrides));
+  }
+  return machines;
+}
+
 /// One journal file, scanned read-only: header checked against the
 /// manifest, unit lines indexed, everything after the first unparseable
 /// byte treated as a torn tail (the suffix a killed writer left behind).
@@ -291,16 +302,10 @@ void Manifest::validate() const {
       throw std::invalid_argument(
           "grid.workloads/policies/presets must all be non-empty");
     }
-    if (grid.instrs < 1 || grid.instrs > 1'000'000'000) {
-      throw std::invalid_argument("grid.instrs must be in [1, 1000000000]");
-    }
+    experiment::check_instrs(grid.instrs, "grid.instrs");
     for (const std::string& w : grid.workloads) workloads::profile_by_name(w);
     for (const std::string& p : grid.policies) policy::named_policy(p);
-    for (const std::string& p : grid.presets) {
-      sim::MachineSpec machine = sim::machine_preset(p);
-      for (const std::string& kv : grid.overrides) machine.set(kv);
-      machine.validate();
-    }
+    grid_machines(*this);
   } else {
     throw std::invalid_argument("kind must be \"fuzz\" or \"grid\", not \"" +
                                 kind + "\"");
@@ -425,12 +430,7 @@ void run_grid_units(const Manifest& m,
   for (const std::string& w : m.grid.workloads) {
     profiles.push_back(workloads::profile_by_name(w));
   }
-  std::vector<sim::MachineSpec> machines;
-  for (const std::string& p : m.grid.presets) {
-    sim::MachineSpec machine = sim::machine_preset(p);
-    for (const std::string& kv : m.grid.overrides) machine.set(kv);
-    machines.push_back(std::move(machine));
-  }
+  const std::vector<sim::MachineSpec> machines = grid_machines(m);
   const std::uint64_t npolicies = m.grid.policies.size();
   const std::uint64_t npresets = m.grid.presets.size();
 
@@ -440,15 +440,12 @@ void run_grid_units(const Manifest& m,
         const std::uint64_t r = unit % npresets;
         const std::uint64_t p = (unit / npresets) % npolicies;
         const std::uint64_t w = unit / (npresets * npolicies);
-        experiment::Cell cell;
-        cell.profile = profiles[w];
         const sim::MachineSpec& machine = machines[r];
-        if (!machine.trace.empty()) cell.profile.trace_file = machine.trace;
-        cell.config = machine.core;
-        cell.config.policy = m.grid.policies[p];
-        cell.instrs = m.grid.instrs;
-        cell.sampling = machine.sampling;
-        const sim::SimResult result = experiment::run_cell(cell);
+        const sim::SimResult result =
+            experiment::run_cell(experiment::make_cell(
+                profiles[w], machine,
+                experiment::named_variant(machine, m.grid.policies[p]).config,
+                m.grid.instrs));
         journal.append(unit, experiment::JsonlObject()
                                  .u64("unit", unit)
                                  .text("workload", m.grid.workloads[w])

@@ -75,8 +75,8 @@ struct Manifest {
   std::string to_json() const;
 
   /// Structural checks plus eager name resolution (policies, presets,
-  /// workloads, overrides, the FuzzSpec file) so a typo'd manifest
-  /// fails before any shard starts. Throws std::invalid_argument.
+  /// workloads, overrides, a machine trace file, the FuzzSpec file) so a
+  /// typo'd manifest fails before any shard starts. Throws.
   void validate() const;
 
   std::uint64_t num_units() const;

@@ -52,13 +52,6 @@ std::vector<PerfCell> cells_of(const json::Value& doc,
 
 }  // namespace
 
-std::string PerfCell::key() const {
-  std::string k = workload + "/" + policy + "/" + preset;
-  if (mode != "detailed") k += "/" + mode;
-  if (cores > 1) k += "/cores=" + std::to_string(cores);
-  return k;
-}
-
 std::vector<PerfCell> load_perf_cells(const std::string& path) {
   return cells_of(json::parse_file(path), path);
 }

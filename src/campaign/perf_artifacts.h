@@ -2,30 +2,26 @@
 //
 // perf_driver writes them, perf_compare gates on a base/head pair, and
 // the campaign trend report plots a whole directory of them. The cell
-// schema and the cell key grammar (workload/policy/preset with "/mode"
-// and "/cores=N" appended only when non-default) live here once, so the
-// three tools can never drift apart on what a cell is called.
+// schema lives here once; a cell's name and key are an
+// experiment::CellName, the grammar perf_driver's --cells parses, so the
+// tools can never drift apart on what a cell is called.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "experiment/experiment.h"
+
 namespace safespec::campaign {
 
-/// One perf-grid cell as stored in the artifact.
-struct PerfCell {
-  std::string workload, policy, preset;
-  std::string mode = "detailed";
-  int cores = 1;
+/// One perf-grid cell as stored in the artifact: its name (key() is the
+/// match key) and measurements.
+struct PerfCell : experiment::CellName {
   std::uint64_t committed_instrs = 0;
   std::uint64_t cycles = 0;
   double wall_ms = 0.0;
   double mips = 0.0;
-
-  /// "/mode" and "/cores=N" are appended only when non-default, so keys
-  /// from artifacts predating those axes keep matching their successors.
-  std::string key() const;
 };
 
 /// One whole artifact.

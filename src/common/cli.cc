@@ -197,15 +197,14 @@ BenchOptions parse_bench_args(int argc, char** argv, const char* extra_usage,
     print_bench_usage(prog, have_extra ? extra.c_str() : nullptr,
                       default_instrs, out);
   });
-  // The historical bench loop parsed --threads with atoi and --instrs
-  // with strtoull — tolerant of trailing garbage. Kept bit-for-bit.
+  // The historical bench loop parsed --threads with atoi — tolerant of
+  // trailing garbage. Kept bit-for-bit. --instrs is strict: "abc" must
+  // not run every cell at zero instructions.
   flags.value("--threads",
               [&opts](const char* v) { opts.threads = std::atoi(v); });
   flags.string("--csv", &opts.csv_path);
   flags.string("--json", &opts.json_path);
-  flags.value("--instrs", [&opts](const char* v) {
-    opts.instrs = std::strtoull(v, nullptr, 10);
-  });
+  flags.u64("--instrs", &opts.instrs);
   flags.string("--config", &opts.config_path, /*separated=*/true);
   flags.repeated("--set", &opts.overrides, /*separated=*/true);
   flags.allow_positional().unknown_label("flag");

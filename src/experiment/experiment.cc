@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/json.h"
 #include "trace/trace.h"
 #include "workloads/runner.h"
 
@@ -27,31 +28,179 @@ ConfigVariant named_variant(
   return v;
 }
 
-ConfigVariant policy_variant(
-    shadow::CommitPolicy policy,
-    const std::function<void(cpu::CoreConfig&)>& mutate) {
-  return named_variant(sim::machine_preset("skylake"),
-                       shadow::to_string(policy), mutate);
+Cell make_cell(workloads::WorkloadProfile profile,
+               const sim::MachineSpec& machine, cpu::CoreConfig config,
+               std::uint64_t instrs) {
+  Cell cell;
+  cell.profile = std::move(profile);
+  if (!machine.trace.empty()) cell.profile.trace_file = machine.trace;
+  cell.config = std::move(config);
+  cell.instrs = instrs;
+  cell.sampling = machine.sampling;
+  return cell;
 }
 
-ExperimentSpec& ExperimentSpec::profiles(
-    std::vector<workloads::WorkloadProfile> p) {
-  profiles_ = std::move(p);
-  return *this;
+// ---- cell names -------------------------------------------------------------
+
+namespace {
+
+bool is_mode(const std::string& token) {
+  return token == "detailed" || token == "sampled" ||
+         token == "sampled-fast" || token == "functional";
+}
+
+}  // namespace
+
+CellName CellName::parse(const std::string& text) {
+  const auto bad = [&text](const std::string& why) {
+    return std::invalid_argument("--cells item '" + text + "': " + why);
+  };
+  std::string rest = text;
+  // Takes the last '/'-separated field off `rest`.
+  const auto pop = [&rest] {
+    const std::size_t slash = rest.rfind('/');
+    std::string field = rest.substr(slash == std::string::npos ? 0 : slash + 1);
+    rest.resize(slash == std::string::npos ? 0 : slash);
+    return field;
+  };
+  CellName name;
+  std::string field = pop();
+  for (bool have_mode = false, have_cores = false;; field = pop()) {
+    if (field.rfind("cores=", 0) == 0) {
+      if (have_cores) throw bad("cores= given twice");
+      have_cores = true;
+      try {
+        name.cores = json::parse_int(field.substr(6), "--cells cores");
+      } catch (const std::exception& e) {
+        throw bad(e.what());
+      }
+    } else if (is_mode(field)) {
+      if (have_mode) throw bad("mode given twice");
+      have_mode = true;
+      name.mode = field;
+    } else {
+      break;
+    }
+  }
+  name.preset = field;
+  name.policy = pop();
+  name.workload = rest;
+  if (name.workload.empty() || name.policy.empty() || name.preset.empty()) {
+    throw bad("not workload/policy/preset[/mode][/cores=N]");
+  }
+  return name;
+}
+
+std::string CellName::key() const {
+  std::string k = workload + "/" + policy + "/" + preset;
+  if (mode != "detailed") k += "/" + mode;
+  if (cores != 1) k += "/cores=" + std::to_string(cores);
+  return k;
+}
+
+bool CellName::operator==(const CellName& other) const {
+  return workload == other.workload && policy == other.policy &&
+         preset == other.preset && mode == other.mode &&
+         cores == other.cores;
+}
+
+/// The default grid covers the hot-path variety that matters for
+/// throughput: pointer-chasing (mcf) and streaming (lbm) d-side traffic,
+/// a large code footprint stressing the i-side shadow (gcc), a
+/// branchy/squash-heavy control profile (exchange2), the kStall
+/// full-table path (WFB-stall), and the little "embedded" preset. The
+/// SHARP cells cover the cache-protection family's hot path (the
+/// protected-victim scan on every fill; at cores=1 it is
+/// cycle-identical to the baseline, so the perf signal is pure host
+/// cost). The cores=2 cells exercise the multi-core path — round-robin
+/// scheduling and the shared L2/L3 with per-core owner attribution. The
+/// trace:@ cells run the same workloads through the trace codec round
+/// trip (cycle-identical to their synthetic twins by construction, so
+/// the perf_compare gate covers the trace frontend too). The trailing
+/// sampled/sampled-fast/functional cells track the sampled-simulation
+/// paths: effective MIPS for the SMARTS schedule, the aggressive-gap
+/// asymptote, and the raw oracle-engine MIPS.
+std::vector<CellName> default_perf_cells() {
+  return {
+      {"mcf", "baseline", "skylake"},  {"mcf", "WFC", "skylake"},
+      {"gcc", "baseline", "skylake"},  {"gcc", "WFC", "skylake"},
+      {"lbm", "baseline", "skylake"},  {"lbm", "WFB", "skylake"},
+      {"exchange2", "baseline", "skylake"},
+      {"exchange2", "WFC", "skylake"},
+      {"xalancbmk", "WFB-stall", "skylake"},
+      {"mcf", "WFC", "embedded"},
+      {"mcf", "SHARP", "skylake"},
+      {"gcc", "SHARP", "skylake", "detailed", 2},
+      {"mcf", "baseline", "skylake", "detailed", 2},
+      {"gcc", "WFC", "skylake", "detailed", 2},
+      {"trace:@mcf", "baseline", "skylake"},
+      {"trace:@exchange2", "WFC", "skylake"},
+      {"mcf", "baseline", "skylake", "sampled"},
+      {"gcc", "WFC", "skylake", "sampled"},
+      {"mcf", "baseline", "skylake", "sampled-fast"},
+      {"mcf", "baseline", "skylake", "functional"},
+  };
+}
+
+// ---- resolver ---------------------------------------------------------------
+
+void check_instrs(std::uint64_t instrs, const std::string& what) {
+  if (instrs < 1 || instrs > kMaxInstrs) {
+    throw std::invalid_argument(what + " must be in [1, " +
+                                std::to_string(kMaxInstrs) + "]");
+  }
+}
+
+sim::MachineSpec resolve_machine(sim::MachineSpec machine,
+                                 const std::vector<std::string>& overrides) {
+  for (const std::string& kv : overrides) machine.set(kv);
+  machine.validate();
+  if (!machine.trace.empty() && machine.trace != "@") {
+    try {
+      trace::read_trace_file(machine.trace);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("trace \"" + machine.trace +
+                               "\" could not be loaded: " + e.what());
+    }
+  }
+  return machine;
+}
+
+Cell resolve_cell(const CellName& name,
+                  const std::vector<std::string>& overrides,
+                  std::uint64_t instrs, const sim::SamplingSpec& sampling) {
+  if (!is_mode(name.mode)) {
+    throw std::invalid_argument("unknown mode '" + name.mode +
+                                "' (detailed, sampled, sampled-fast, "
+                                "functional)");
+  }
+  if (name.cores > 1 && name.mode != "detailed") {
+    throw std::invalid_argument("cores=" + std::to_string(name.cores) +
+                                " needs detailed mode (sampled and "
+                                "functional runs are single-core)");
+  }
+  sim::MachineSpec machine = sim::machine_preset(name.preset);
+  for (const std::string& kv : overrides) machine.set(kv);
+  machine.core.cores = name.cores;
+  machine.sampling = sampling;
+  machine = resolve_machine(std::move(machine), {});
+  return make_cell(workloads::profile_by_name(name.workload), machine,
+                   named_variant(machine, name.policy).config, instrs);
 }
 
 ExperimentSpec& ExperimentSpec::all_spec_profiles() {
-  return profiles(workloads::spec2017_profiles());
+  profiles_ = workloads::spec2017_profiles();
+  return *this;
 }
 
 ExperimentSpec& ExperimentSpec::profile_names(
     const std::vector<std::string>& names) {
   std::vector<workloads::WorkloadProfile> selected;
-  selected.reserve(names.size());
   for (const auto& name : names) {
     selected.push_back(workloads::profile_by_name(name));
   }
-  return profiles(std::move(selected));
+  profiles_ = std::move(selected);
+  return *this;
 }
 
 ExperimentSpec& ExperimentSpec::base_machine(sim::MachineSpec machine) {
@@ -70,12 +219,6 @@ ExperimentSpec& ExperimentSpec::policy(
   return variant(named_variant(base_, name, mutate));
 }
 
-ExperimentSpec& ExperimentSpec::policy(
-    shadow::CommitPolicy p,
-    const std::function<void(cpu::CoreConfig&)>& mutate) {
-  return policy(std::string(shadow::to_string(p)), mutate);
-}
-
 ExperimentSpec& ExperimentSpec::instrs(std::uint64_t n) {
   instrs_ = n;
   return *this;
@@ -86,18 +229,11 @@ std::vector<Cell> ExperimentSpec::expand() const {
   cells.reserve(profiles_.size() * variants_.size());
   for (std::size_t p = 0; p < profiles_.size(); ++p) {
     for (std::size_t v = 0; v < variants_.size(); ++v) {
-      Cell cell;
+      Cell cell =
+          make_cell(profiles_[p], base_, variants_[v].config, instrs_);
       cell.index = cells.size();
       cell.profile_index = p;
       cell.variant_index = v;
-      cell.profile = profiles_[p];
-      cell.config = variants_[v].config;
-      cell.instrs = instrs_;
-      cell.sampling = base_.sampling;
-      // The machine's trace axis rides on every cell's profile (profile
-      // names stay the row labels; "@" round-trips each cell's own
-      // synthetic image through the trace codec).
-      if (!base_.trace.empty()) cell.profile.trace_file = base_.trace;
       cells.push_back(std::move(cell));
     }
   }
@@ -106,9 +242,17 @@ std::vector<Cell> ExperimentSpec::expand() const {
 
 // ---- runner -----------------------------------------------------------------
 
+std::unique_ptr<sim::Simulator> build_cell(const Cell& cell) {
+  return workloads::make_workload_sim(cell.profile, cell.config, cell.instrs);
+}
+
+sim::SimResult run_built_cell(const Cell& cell, sim::Simulator& sim) {
+  return sim.run_sampled(cell.sampling, workloads::cycle_budget(cell.instrs),
+                         cell.instrs);
+}
+
 sim::SimResult run_cell(const Cell& cell) {
-  return workloads::run_workload(cell.profile, cell.config, cell.instrs,
-                                 cell.sampling);
+  return run_built_cell(cell, *build_cell(cell));
 }
 
 ParallelRunner::ParallelRunner(int threads) : threads_(threads) {
@@ -150,20 +294,15 @@ void ParallelRunner::parallel_for(
   if (first_error) std::rethrow_exception(first_error);
 }
 
-std::vector<sim::SimResult> ParallelRunner::run_cells(
-    const std::vector<Cell>& cells) const {
+SweepResult ParallelRunner::run(const ExperimentSpec& spec) const {
+  const std::vector<Cell> cells = spec.expand();
   std::vector<sim::SimResult> results(cells.size());
   parallel_for(cells.size(),
                [&](std::size_t i) { results[i] = run_cell(cells[i]); });
-  return results;
-}
-
-SweepResult ParallelRunner::run(const ExperimentSpec& spec) const {
   std::vector<std::string> variant_names;
-  variant_names.reserve(spec.variant_axis().size());
   for (const auto& v : spec.variant_axis()) variant_names.push_back(v.name);
   return SweepResult(spec.profile_axis().size(), spec.variant_axis().size(),
-                     run_cells(spec.expand()), std::move(variant_names));
+                     std::move(results), std::move(variant_names));
 }
 
 std::string SweepResult::stop_note(std::size_t profile) const {
@@ -201,23 +340,17 @@ ResultTable::ResultTable(std::string title, std::vector<std::string> columns)
 void ResultTable::add_row(const std::string& name,
                           const std::vector<double>& values,
                           const char* format) {
-  Row row;
-  row.name = name;
-  for (double v : values) row.cells.push_back({format_value(v, format), v});
-  rows_.push_back(std::move(row));
+  add_partial_row(name, {values.begin(), values.end()}, format);
 }
 
 void ResultTable::add_partial_row(
     const std::string& name, const std::vector<std::optional<double>>& values,
     const char* format) {
-  Row row;
+  TableRow row;
   row.name = name;
+  row.values = values;
   for (const auto& v : values) {
-    if (v) {
-      row.cells.push_back({format_value(*v, format), v});
-    } else {
-      row.cells.push_back({std::string(12, ' '), std::nullopt});
-    }
+    row.texts.push_back(v ? format_value(*v, format) : std::string(12, ' '));
   }
   rows_.push_back(std::move(row));
 }
@@ -227,27 +360,12 @@ void ResultTable::annotate_last_row(const std::string& note) {
   rows_.back().note = note;
 }
 
-bool ResultTable::any_note() const {
-  for (const auto& row : rows_) {
-    if (!row.note.empty()) return true;
-  }
-  return false;
-}
-
 void ResultTable::emit(RowSink& sink) const {
-  sink.begin_table(title_, columns_, any_note());
-  for (const auto& row : rows_) {
-    TableRow out;
-    out.name = row.name;
-    out.texts.reserve(row.cells.size());
-    out.values.reserve(row.cells.size());
-    for (const auto& cell : row.cells) {
-      out.texts.push_back(cell.text);
-      out.values.push_back(cell.value);
-    }
-    out.note = row.note;
-    sink.row(out);
-  }
+  const bool any_note =
+      std::any_of(rows_.begin(), rows_.end(),
+                  [](const TableRow& row) { return !row.note.empty(); });
+  sink.begin_table(title_, columns_, any_note);
+  for (const TableRow& row : rows_) sink.row(row);
   sink.end_table();
 }
 
@@ -272,22 +390,12 @@ void ResultTable::append_json(std::vector<std::string>& items) const {
 
 sim::MachineSpec resolve_machine(const BenchOptions& options) {
   try {
-    sim::MachineSpec spec =
+    check_instrs(options.instrs, "--instrs");
+    const sim::MachineSpec spec = resolve_machine(
         options.config_path.empty()
             ? sim::machine_preset("skylake")
-            : sim::MachineSpec::from_json_file(options.config_path);
-    for (const auto& kv : options.overrides) spec.set(kv);
-    spec.validate();
-    // A trace file is read here once, so a bad path fails before any
-    // cell runs ("@" is the in-memory round-trip and reads no file).
-    if (!spec.trace.empty() && spec.trace != "@") {
-      try {
-        trace::read_trace_file(spec.trace);
-      } catch (const std::exception& e) {
-        throw std::runtime_error("trace \"" + spec.trace +
-                                 "\" could not be loaded: " + e.what());
-      }
-    }
+            : sim::MachineSpec::from_json_file(options.config_path),
+        options.overrides);
     if (!spec.regions.empty() || !spec.pokes.empty()) {
       // Workload sweeps generate their own address space per cell; only
       // MachineBuilder-driven runs honour a spec's memory map.

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,9 +18,7 @@
 #include "common/cli.h"
 #include "cpu/core.h"
 #include "experiment/row_sink.h"
-#include "safespec/shadow_structures.h"
 #include "sim/machine.h"
-#include "sim/sim_config.h"
 #include "sim/simulator.h"
 #include "workloads/workload.h"
 
@@ -29,6 +28,10 @@ namespace safespec::experiment {
 /// enough that the occupancy/miss-rate distributions stabilise, small
 /// enough that the whole 22-benchmark sweep stays interactive.
 inline constexpr std::uint64_t kInstrsPerRun = 60'000;
+
+/// The largest committed-instruction budget any run accepts: a cell's
+/// cycle budget (workloads::cycle_budget) stays far from wrapping.
+inline constexpr std::uint64_t kMaxInstrs = 1'000'000'000;
 
 // ---- spec -------------------------------------------------------------------
 
@@ -45,12 +48,6 @@ struct ConfigVariant {
 /// unknown name.
 ConfigVariant named_variant(
     const sim::MachineSpec& base, const std::string& policy_name,
-    const std::function<void(cpu::CoreConfig&)>& mutate = nullptr);
-
-/// Legacy shorthand: the "skylake" preset under the enum's canonical
-/// short name ("baseline" / "WFB" / "WFC").
-ConfigVariant policy_variant(
-    shadow::CommitPolicy policy,
     const std::function<void(cpu::CoreConfig&)>& mutate = nullptr);
 
 /// A fully-resolved grid cell: one workload under one variant. Each
@@ -70,12 +67,75 @@ struct Cell {
   sim::SamplingSpec sampling;
 };
 
+/// One cell: `profile` on `machine` under `config`, a variant of
+/// machine.core (usually named_variant(machine, policy).config). The
+/// machine's trace rides on the profile ("@" round-trips the profile's
+/// own synthetic image through the trace codec; profile names stay the
+/// row labels) and its sampling schedule on the cell.
+Cell make_cell(workloads::WorkloadProfile profile,
+               const sim::MachineSpec& machine, cpu::CoreConfig config,
+               std::uint64_t instrs);
+
+// ---- cell names -------------------------------------------------------------
+
+/// The one spelling of a perf-grid cell, "workload/policy/preset" with
+/// "/mode" and "/cores=N" appended when not the default. perf_driver's
+/// --cells items, the perf artifacts' cell keys and perf_compare's
+/// matching all use it. Modes: detailed (the cycle-level core only),
+/// sampled and sampled-fast (run_sampled under two schedules) and
+/// functional (the bare FunctionalEngine). cores=N runs N cores sharing
+/// the L2/L3, each on the workload's private copy (detailed mode only).
+struct CellName {
+  std::string workload;
+  std::string policy;
+  std::string preset;
+  std::string mode = "detailed";
+  int cores = 1;
+
+  /// Parses "workload/policy/preset[/mode][/cores=N]" from the right: a
+  /// trailing cores=N and a trailing mode (each at most once, in either
+  /// order) come off first, then the preset and the policy, and the rest
+  /// is the workload. A workload may so contain '/', as in
+  /// "trace:/abs/dir/x.sstr/WFC/skylake". Throws std::invalid_argument
+  /// naming the item.
+  static CellName parse(const std::string& text);
+  /// The inverse of parse(). The optional parts appear only when not the
+  /// default, so keys from artifacts older than the mode and cores axes
+  /// keep matching.
+  std::string key() const;
+
+  bool operator==(const CellName& other) const;
+};
+
+/// perf_driver's default grid (the perf signal's 20 cells).
+std::vector<CellName> default_perf_cells();
+
+// ---- resolver ---------------------------------------------------------------
+
+/// Throws std::invalid_argument ("WHAT must be in [1, 1000000000]")
+/// unless `instrs` is a budget a run accepts.
+void check_instrs(std::uint64_t instrs, const std::string& what);
+
+/// `machine` with each "key=value" override applied in order, then
+/// validated. A trace file it names is read once here, so a bad path
+/// fails before any cell runs ("@" is the in-memory round trip and reads
+/// no file). Throws on bad input.
+sim::MachineSpec resolve_machine(sim::MachineSpec machine,
+                                 const std::vector<std::string>& overrides);
+
+/// A named cell resolved against the registries: the workload profile,
+/// the preset under `overrides` with the cell's core count and `sampling`
+/// (the mode's schedule; disabled for detailed and functional cells),
+/// checked by resolve_machine, and the policy. Throws naming the problem.
+Cell resolve_cell(const CellName& name,
+                  const std::vector<std::string>& overrides,
+                  std::uint64_t instrs, const sim::SamplingSpec& sampling = {});
+
 /// Declarative sweep grid: profiles x variants. Expansion is
 /// profile-major (all variants of one benchmark adjacent), the row order
 /// every figure prints.
 class ExperimentSpec {
  public:
-  ExperimentSpec& profiles(std::vector<workloads::WorkloadProfile> p);
   /// All 22 SPEC2017-like profiles in paper order.
   ExperimentSpec& all_spec_profiles();
   /// Subset by name (throws std::out_of_range on an unknown name).
@@ -85,17 +145,12 @@ class ExperimentSpec {
   /// (default: the "skylake" preset). Benches pass resolve_machine(opts)
   /// here so --config / --set reshape the whole sweep.
   ExperimentSpec& base_machine(sim::MachineSpec machine);
-  const sim::MachineSpec& machine() const { return base_; }
 
   ExperimentSpec& variant(ConfigVariant v);
-  /// Shorthand for variant(named_variant(machine(), name, mutate)):
+  /// Shorthand for variant(named_variant(base machine, name, mutate)):
   /// one point on the configuration axis, selected by registry name.
   ExperimentSpec& policy(
       const std::string& name,
-      const std::function<void(cpu::CoreConfig&)>& mutate = nullptr);
-  /// Legacy enum shorthand (same variant names as the string form).
-  ExperimentSpec& policy(
-      shadow::CommitPolicy p,
       const std::function<void(cpu::CoreConfig&)>& mutate = nullptr);
 
   ExperimentSpec& instrs(std::uint64_t n);
@@ -165,9 +220,6 @@ class ParallelRunner {
   /// Runs every cell of the spec; results in expansion order.
   SweepResult run(const ExperimentSpec& spec) const;
 
-  /// Runs explicit cells (spec-free callers); results in input order.
-  std::vector<sim::SimResult> run_cells(const std::vector<Cell>& cells) const;
-
   /// Generic stable-order parallel map: invokes fn(i) for i in [0, n)
   /// across the pool. Used by benches whose work items are not simulator
   /// cells (attack suites, model sweeps).
@@ -178,7 +230,17 @@ class ParallelRunner {
   int threads_;
 };
 
-/// Runs one cell synchronously (the unit of work a pool thread executes).
+/// Builds a cell's machine, its program generated and mapped: the half
+/// of run_cell that a throughput measurement leaves untimed.
+std::unique_ptr<sim::Simulator> build_cell(const Cell& cell);
+
+/// Runs a machine that build_cell(cell) built: cell.instrs committed
+/// instructions under the cell's sampling schedule, within
+/// workloads::cycle_budget(cell.instrs).
+sim::SimResult run_built_cell(const Cell& cell, sim::Simulator& sim);
+
+/// Runs one cell synchronously (the unit of work a pool thread
+/// executes): build_cell, then run_built_cell.
 sim::SimResult run_cell(const Cell& cell);
 
 // ---- result table -----------------------------------------------------------
@@ -225,20 +287,9 @@ class ResultTable {
   void append_json(std::vector<std::string>& items) const;
 
  private:
-  struct Cell {
-    std::string text;             ///< formatted, right-aligned when printed
-    std::optional<double> value;  ///< raw value for CSV/JSON
-  };
-  struct Row {
-    std::string name;
-    std::vector<Cell> cells;
-    std::string note;  ///< e.g. "WFC:max-cycles"; "" on converged rows
-  };
-  bool any_note() const;
-
   std::string title_;
   std::vector<std::string> columns_;
-  std::vector<Row> rows_;
+  std::vector<TableRow> rows_;
 };
 
 // ---- CLI --------------------------------------------------------------------
@@ -254,10 +305,10 @@ inline BenchOptions parse_bench_args(int argc, char** argv,
   return cli::parse_bench_args(argc, argv, extra_usage, kInstrsPerRun);
 }
 
-/// The machine the options describe: --config's JSON file (default: the
-/// "skylake" preset) with every --set override applied in order, then
-/// validated. Prints the problem and exits(2) on bad input — benches
-/// call this once, right after parse_bench_args.
+/// The machine the options describe: resolve_machine() of --config's
+/// JSON file (default: the "skylake" preset) under the --set overrides,
+/// with --instrs checked too. Prints the problem and exits(2) on bad
+/// input — benches call this once, right after parse_bench_args.
 sim::MachineSpec resolve_machine(const BenchOptions& options);
 
 /// Writes every table once to each requested sink: aligned text to

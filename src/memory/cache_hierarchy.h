@@ -33,8 +33,8 @@ class CacheHierarchy;
 /// Which structure ultimately supplied the data.
 enum class HitLevel : std::uint8_t { kL1, kL2, kL3, kMemory };
 
-/// Configuration of the whole hierarchy (Table II defaults are in
-/// sim/sim_config.h).
+/// Configuration of the whole hierarchy (Table II defaults are the
+/// "skylake" machine preset, sim/machine.cc).
 struct HierarchyConfig {
   CacheConfig l1i{.name = "L1I", .size_bytes = 32 * 1024, .ways = 8,
                   .line_bytes = 64, .hit_latency = 4};

@@ -92,14 +92,6 @@ class ProtectionPolicy {
   /// and the shared-level builder run it on the same spec).
   void tune(memory::HierarchyConfig& config, std::uint64_t alarm_threshold,
             std::uint64_t alarm_epoch_ticks) const;
-
-  /// The legacy enum value this policy's promotion semantics correspond
-  /// to (attack PoCs and older tests still speak CommitPolicy).
-  shadow::CommitPolicy commit_policy() const {
-    if (!shadows_speculation()) return shadow::CommitPolicy::kBaseline;
-    return promote_at_branch_resolution() ? shadow::CommitPolicy::kWFB
-                                          : shadow::CommitPolicy::kWFC;
-  }
 };
 
 /// Looks up a registered policy. Throws std::out_of_range with a message

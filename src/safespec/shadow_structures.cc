@@ -2,18 +2,6 @@
 
 namespace safespec::shadow {
 
-const char* to_string(CommitPolicy policy) {
-  switch (policy) {
-    case CommitPolicy::kBaseline:
-      return "baseline";
-    case CommitPolicy::kWFB:
-      return "WFB";
-    case CommitPolicy::kWFC:
-      return "WFC";
-  }
-  return "?";
-}
-
 const char* to_string(FullPolicy policy) {
   switch (policy) {
     case FullPolicy::kDrop:

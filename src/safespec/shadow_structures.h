@@ -36,14 +36,6 @@ enum class FullPolicy : std::uint8_t {
   kStall,  ///< caller must retry; the requesting instruction stalls
 };
 
-/// Commit policy: when is an instruction's shadow state promotable?
-enum class CommitPolicy : std::uint8_t {
-  kBaseline,  ///< no shadowing at all — classic insecure speculation
-  kWFB,       ///< wait-for-branch: all older branches resolved
-  kWFC,       ///< wait-for-commit: the instruction itself commits
-};
-
-const char* to_string(CommitPolicy policy);
 const char* to_string(FullPolicy policy);
 
 struct ShadowConfig {

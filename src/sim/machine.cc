@@ -23,8 +23,7 @@ using JsonWriter = json::Writer;
 
 // ---- preset registry -------------------------------------------------------
 
-/// Tables I and II: the 6-wide SkyLake-like core the paper evaluates
-/// (formerly the body of skylake_config(), which now wraps this preset).
+/// Tables I and II: the 6-wide SkyLake-like core the paper evaluates.
 MachineSpec skylake_preset() {
   MachineSpec spec;
   spec.preset = "skylake";

@@ -16,8 +16,8 @@
 //
 // Three pieces:
 //   * the preset registry: named starting points ("skylake" — Tables
-//     I/II; "embedded" — a 2-wide in-order-ish little core) that
-//     replace bare skylake_config() calls;
+//     I/II; "embedded" — a 2-wide in-order-ish little core), the one way
+//     to describe a machine;
 //   * MachineSpec::validate(): rejects nonsense (zero widths,
 //     overlapping regions, unknown policy names) and — §V's security
 //     argument — shadow sizing below the secure bound (d-side ≥ LDQ,

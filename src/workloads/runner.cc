@@ -37,16 +37,4 @@ std::unique_ptr<sim::Simulator> make_image_sim(
   return sim;
 }
 
-sim::SimResult run_workload(const WorkloadProfile& profile,
-                            const cpu::CoreConfig& config,
-                            std::uint64_t measure_instrs,
-                            const sim::SamplingSpec& sampling) {
-  auto sim = make_workload_sim(profile, config, measure_instrs);
-  // Generous cycle budget: the worst (pointer-chasing) profiles run well
-  // under 10 cycles per instruction. run_sampled with a disabled spec is
-  // exactly run(), so the default keeps the historical bit-identical path.
-  return sim->run_sampled(sampling, measure_instrs * 40 + 1'000'000,
-                          measure_instrs);
-}
-
 }  // namespace safespec::workloads

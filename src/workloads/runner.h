@@ -1,7 +1,9 @@
-// Convenience wrapper running a workload profile on a configured core —
-// the shared driver for every performance figure (Figs 6-9, 11-16).
+// Builds the simulator for a workload profile on a configured core — the
+// build half of experiment::run_cell, which runs every performance figure
+// (Figs 6-9, 11-16).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "cpu/core.h"
@@ -9,6 +11,13 @@
 #include "workloads/workload.h"
 
 namespace safespec::workloads {
+
+/// The cycle budget for a run of `instrs` committed instructions:
+/// generous, as the worst (pointer-chasing) profiles run well under 10
+/// cycles per instruction.
+constexpr std::uint64_t cycle_budget(std::uint64_t instrs) {
+  return instrs * 40 + 1'000'000;
+}
 
 /// Builds the simulator for `profile` (program generated for
 /// `target_instrs` committed instructions, address space mapped, chase
@@ -24,20 +33,5 @@ std::unique_ptr<sim::Simulator> make_workload_sim(
 /// file rather than the generator.
 std::unique_ptr<sim::Simulator> make_image_sim(WorkloadImage image,
                                                const cpu::CoreConfig& config);
-
-/// Generates, maps, runs, and snapshots one profile under one config.
-/// `warmup_instrs` committed instructions run before statistics matter;
-/// the run then continues for `measure_instrs` more (statistics are
-/// cumulative — the warm-up mainly primes caches/predictors so short
-/// simulations are not dominated by cold-start effects).
-///
-/// When `sampling` is enabled the run alternates functional fast-forward
-/// with detailed windows (sim::Simulator::run_sampled); the default
-/// (disabled) spec takes the plain detailed path, bit-identical to the
-/// three-argument overload.
-sim::SimResult run_workload(const WorkloadProfile& profile,
-                            const cpu::CoreConfig& config,
-                            std::uint64_t measure_instrs,
-                            const sim::SamplingSpec& sampling = {});
 
 }  // namespace safespec::workloads

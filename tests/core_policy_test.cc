@@ -15,7 +15,6 @@
 #include "memory/cache.h"
 #include "safespec/policy.h"
 #include "sim/machine.h"
-#include "sim/sim_config.h"
 #include "sim/simulator.h"
 #include "workloads/runner.h"
 #include "workloads/workload.h"
@@ -26,10 +25,17 @@ namespace {
 using isa::AluOp;
 using isa::CondOp;
 using isa::ProgramBuilder;
-using shadow::CommitPolicy;
 
-sim::Simulator make_sim(isa::Program program, CommitPolicy policy) {
-  sim::Simulator s(sim::skylake_config(policy), std::move(program));
+/// The "skylake" preset's core (Tables I and II) under a registered
+/// policy.
+cpu::CoreConfig skylake(const std::string& policy = "baseline") {
+  cpu::CoreConfig config = sim::machine_preset("skylake").core;
+  config.policy = policy;
+  return config;
+}
+
+sim::Simulator make_sim(isa::Program program, const std::string& policy) {
+  sim::Simulator s(skylake(policy), std::move(program));
   s.map_text();
   return s;
 }
@@ -43,7 +49,7 @@ TEST(TlbIsolation, SpeculativeTranslationStaysOutOfPrimaryDtlbUnderWFC) {
   b.movi(1, kData).load(2, 1, 0).fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   EXPECT_FALSE(s.core().dtlb().probe(page_of(kData)));
   s.run();
@@ -57,7 +63,7 @@ TEST(TlbIsolation, SquashedTranslationNeverReachesPrimaryDtlb) {
   // that asymmetry IS the dTLB covert channel of Table IV).
   constexpr Addr kWrongPage = 0x710000;
   constexpr Addr kSlow = 0x720000;
-  for (auto policy : {CommitPolicy::kBaseline, CommitPolicy::kWFC}) {
+  for (const std::string policy : {"baseline", "WFC"}) {
     ProgramBuilder b(0x1000);
     b.movi(1, kWrongPage).movi(2, kSlow);
     b.flush(2, 0).fence();
@@ -74,7 +80,7 @@ TEST(TlbIsolation, SquashedTranslationNeverReachesPrimaryDtlb) {
     s.map_region(kSlow, kPageSize);
     s.run();
     const bool present = s.core().dtlb().probe(page_of(kWrongPage));
-    if (policy == CommitPolicy::kBaseline) {
+    if (policy == "baseline") {
       EXPECT_TRUE(present) << "baseline should leak the dTLB entry";
     } else {
       EXPECT_FALSE(present) << "WFC must annul the speculative translation";
@@ -85,7 +91,7 @@ TEST(TlbIsolation, SquashedTranslationNeverReachesPrimaryDtlb) {
 TEST(CacheIsolation, WrongPathLineLeaksOnBaselineOnlyDCache) {
   constexpr Addr kWrongLine = 0x730000;
   constexpr Addr kSlow = 0x740000;
-  for (auto policy : {CommitPolicy::kBaseline, CommitPolicy::kWFC}) {
+  for (const std::string policy : {"baseline", "WFC"}) {
     ProgramBuilder b(0x1000);
     b.movi(1, kWrongLine).movi(2, kSlow);
     b.flush(2, 0).fence();
@@ -103,7 +109,7 @@ TEST(CacheIsolation, WrongPathLineLeaksOnBaselineOnlyDCache) {
         s.core().hierarchy().resident_l1(line_of(kWrongLine),
                                          memory::Side::kData) ||
         s.core().hierarchy().resident_l3(line_of(kWrongLine));
-    EXPECT_EQ(resident, policy == CommitPolicy::kBaseline);
+    EXPECT_EQ(resident, policy == "baseline");
   }
 }
 
@@ -117,7 +123,7 @@ TEST(StoreQueue, YoungestMatchingStoreForwards) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   EXPECT_EQ(s.core().reg(4), 22u);
@@ -133,7 +139,7 @@ TEST(StoreQueue, DifferentWordsDoNotForward) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   EXPECT_EQ(s.core().reg(4), 0u);
@@ -152,7 +158,7 @@ TEST(ControlFlow, NestedCallsReturnInOrder) {
   b.label("inner").movi(12, 41).ret();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   const auto r = s.run();
   EXPECT_EQ(r.stop, cpu::StopReason::kHalted);
   EXPECT_EQ(s.core().reg(10), 1u);
@@ -170,7 +176,7 @@ TEST(ControlFlow, RepeatedCallsFromManySitesUseRsbCorrectly) {
   b.label("fn").alui(AluOp::kAdd, 5, 5, 1).ret();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   const auto r = s.run(2'000'000);
   EXPECT_EQ(r.stop, cpu::StopReason::kHalted);
   EXPECT_EQ(s.core().reg(5), 24u);
@@ -193,7 +199,7 @@ TEST(Policies, WfbPromotesAfterBranchResolutionBeforeCommit) {
   b.fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFB);
+  auto s = make_sim(std::move(prog), "WFB");
   s.map_region(kBlock, kPageSize);
   s.map_region(kProbe, kPageSize);
   // Step manually and look for the probe line becoming resident while
@@ -238,7 +244,7 @@ TEST(Policies, WfbStillPromotesAtResolutionAfterFaultRecovery) {
   auto prog = b.build();
   prog.set_entry(0x1000);
   prog.set_fault_handler(0x8000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFB);
+  auto s = make_sim(std::move(prog), "WFB");
   s.map_region(kKernel, kPageSize, memory::PagePerm::kKernel);
   s.map_region(kBlock, kPageSize);
   s.map_region(kProbe, kPageSize);
@@ -274,7 +280,7 @@ TEST(Policies, WfcDoesNotPromoteThatEarly) {
   b.fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kBlock, kPageSize);
   s.map_region(kProbe, kPageSize);
   bool promoted_while_blocked = false;
@@ -300,7 +306,7 @@ TEST(Flush, CommittedClflushEvictsEveryLevel) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   EXPECT_FALSE(s.core().hierarchy().resident_l1(line_of(kData),
@@ -323,8 +329,7 @@ TEST(Flush, CommittedClflushEvictsEveryLevel) {
 std::unique_ptr<sim::Simulator> run_with_commit_xor(
     const isa::Program& program, const std::string& policy_name,
     std::uint64_t commit_xor) {
-  cpu::CoreConfig config = sim::skylake_config();
-  config.policy = policy_name;
+  cpu::CoreConfig config = skylake(policy_name);
   config.mutation.commit_xor = commit_xor;
   auto s = std::make_unique<sim::Simulator>(config, program);
   s->map_text();
@@ -471,8 +476,7 @@ void expect_scheduler_pins(const isa::Program& program, Addr probe,
                            Setup setup, Check check,
                            const std::vector<SchedulerPin>& pins) {
   for (const auto& policy : policy::registered_policy_names()) {
-    cpu::CoreConfig config = sim::skylake_config();
-    config.policy = policy;
+    const cpu::CoreConfig config = skylake(policy);
     sim::Simulator s(config, program);
     s.map_text();
     setup(s);
@@ -897,7 +901,7 @@ TEST(SchedulerPins, FaultingStoreAtRobHeadRunsTheHandler) {
   constexpr Addr kSlow = 0xA30000;
   constexpr Addr kSlow2 = 0xA40000;
   constexpr int kChain = 24;  // one page per link, from kSlow
-  const int stq_entries = sim::skylake_config().stq_entries;
+  const int stq_entries = skylake().stq_entries;
   ProgramBuilder b(0x1000);
   b.movi(1, kKernel).movi(7, kDst).movi(3, 0x33).movi(4, 0x44);
   b.movi(12, kSlow).movi(15, kSlow2);
@@ -1238,7 +1242,7 @@ TEST(Restart, PreservesMicroarchitecturalState) {
   auto prog = b.build();
   prog.set_entry(0x1000);
   const Addr phase2 = b.label_addr("phase2");
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   ASSERT_TRUE(s.core().hierarchy().resident_l1(line_of(kData),

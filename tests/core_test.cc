@@ -3,8 +3,11 @@
 // shadow lifecycle as observed end-to-end through the simulator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "isa/program.h"
-#include "sim/sim_config.h"
+#include "sim/machine.h"
 #include "sim/simulator.h"
 
 namespace safespec {
@@ -13,11 +16,13 @@ namespace {
 using isa::AluOp;
 using isa::CondOp;
 using isa::ProgramBuilder;
-using shadow::CommitPolicy;
 
+/// The "skylake" preset under a registered policy, text mapped.
 sim::Simulator make_sim(isa::Program program,
-                        CommitPolicy policy = CommitPolicy::kBaseline) {
-  sim::Simulator s(sim::skylake_config(policy), std::move(program));
+                        const std::string& policy = "baseline") {
+  cpu::CoreConfig config = sim::machine_preset("skylake").core;
+  config.policy = policy;
+  sim::Simulator s(config, std::move(program));
   s.map_text();
   return s;
 }
@@ -300,7 +305,16 @@ TEST(CoreFault, KernelModeMayReadKernelPages) {
 
 // ---- SafeSpec end-to-end behaviour ---------------------------------------
 
-class PolicyTest : public ::testing::TestWithParam<CommitPolicy> {};
+/// The paper's three policies by registry name. The parameter is a
+/// one-byte index into this table, so each test's full name (which
+/// prints the parameter's bytes) stays as it was.
+constexpr const char* kPaperPolicies[] = {"baseline", "WFB", "WFC"};
+struct PaperPolicy {
+  std::uint8_t index;
+  const char* name() const { return kPaperPolicies[index]; }
+};
+
+class PolicyTest : public ::testing::TestWithParam<PaperPolicy> {};
 
 TEST_P(PolicyTest, ProgramSemanticsIdenticalUnderAllPolicies) {
   // Functional results must not depend on the protection mode: SafeSpec
@@ -319,7 +333,7 @@ TEST_P(PolicyTest, ProgramSemanticsIdenticalUnderAllPolicies) {
   p.halt();
   auto prog = p.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), GetParam());
+  auto s = make_sim(std::move(prog), GetParam().name());
   s.map_region(kData, 2 * kPageSize);
   std::uint64_t expected = 0;
   for (int i = 0; i < 64; ++i) {
@@ -332,11 +346,10 @@ TEST_P(PolicyTest, ProgramSemanticsIdenticalUnderAllPolicies) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyTest,
-                         ::testing::Values(CommitPolicy::kBaseline,
-                                           CommitPolicy::kWFB,
-                                           CommitPolicy::kWFC),
+                         ::testing::Values(PaperPolicy{0}, PaperPolicy{1},
+                                           PaperPolicy{2}),
                          [](const auto& info) {
-                           return shadow::to_string(info.param);
+                           return std::string(info.param.name());
                          });
 
 TEST(SafeSpecLifecycle, CommittedLoadPromotesLineToCaches) {
@@ -345,7 +358,7 @@ TEST(SafeSpecLifecycle, CommittedLoadPromotesLineToCaches) {
   b.movi(1, kData).load(2, 1, 0).fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.run();
   // After commit the line must be architecturally resident.
@@ -374,7 +387,7 @@ TEST(SafeSpecLifecycle, SquashedSpeculativeLoadLeavesNoTrace) {
   b.halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kWFC);
+  auto s = make_sim(std::move(prog), "WFC");
   s.map_region(kData, kPageSize);
   s.map_region(kWrongPath, kPageSize);
   s.run();
@@ -392,7 +405,7 @@ TEST(SafeSpecLifecycle, BaselineFillsCachesSpeculatively) {
   b.movi(1, kData).load(2, 1, 0).fence().halt();
   auto prog = b.build();
   prog.set_entry(0x1000);
-  auto s = make_sim(std::move(prog), CommitPolicy::kBaseline);
+  auto s = make_sim(std::move(prog), "baseline");
   s.map_region(kData, kPageSize);
   s.run();
   EXPECT_TRUE(s.core().hierarchy().resident_l1(line_of(kData),

@@ -43,8 +43,8 @@ void expect_bitwise_equal(const sim::SimResult& a, const sim::SimResult& b,
 TEST(ExperimentSpec, ExpandsProfileMajor) {
   ExperimentSpec spec;
   spec.profile_names({"perlbench", "mcf", "lbm"})
-      .policy(shadow::CommitPolicy::kBaseline)
-      .policy(shadow::CommitPolicy::kWFC)
+      .policy("baseline")
+      .policy("WFC")
       .instrs(1234);
 
   const auto cells = spec.expand();
@@ -67,7 +67,7 @@ TEST(ExperimentSpec, ExpandsProfileMajor) {
 TEST(ExperimentSpec, VariantMutationApplies) {
   ExperimentSpec spec;
   spec.profile_names({"x264"})
-      .policy(shadow::CommitPolicy::kWFC,
+      .policy("WFC",
               [](cpu::CoreConfig& c) { c.shadow_dcache.entries = 8; });
   const auto cells = spec.expand();
   ASSERT_EQ(cells.size(), 1u);
@@ -83,8 +83,8 @@ TEST(ExperimentSpec, UnknownProfileThrows) {
 TEST(ParallelRunner, DeterministicAcrossThreadCounts) {
   ExperimentSpec spec;
   spec.profile_names({"exchange2", "x264", "deepsjeng"})
-      .policy(shadow::CommitPolicy::kBaseline)
-      .policy(shadow::CommitPolicy::kWFC)
+      .policy("baseline")
+      .policy("WFC")
       .instrs(4000);
 
   const auto serial = ParallelRunner(1).run(spec);
@@ -167,20 +167,25 @@ TEST(ResultTable, CsvRoundTripsRawValues) {
 }
 
 TEST(ExperimentSpec, NamedPolicyAxisMatchesEnumAxis) {
-  // The string axis must build exactly the machines the legacy enum axis
-  // built (variant names included) — that is what keeps the bench
-  // outputs byte-identical across the API migration.
-  ExperimentSpec by_name, by_enum;
+  // The policy() shorthand must build exactly the variants named_variant
+  // builds on the "skylake" preset (variant names included): the
+  // machines every bench sweeps, and so their byte-identical outputs.
+  ExperimentSpec by_name, by_variant;
   by_name.profile_names({"x264"}).policy("baseline").policy("WFC");
-  by_enum.profile_names({"x264"})
-      .policy(shadow::CommitPolicy::kBaseline)
-      .policy(shadow::CommitPolicy::kWFC);
-  ASSERT_EQ(by_name.variant_axis().size(), by_enum.variant_axis().size());
+  const sim::MachineSpec skylake = sim::machine_preset("skylake");
+  by_variant.profile_names({"x264"})
+      .variant(named_variant(skylake, "baseline"))
+      .variant(named_variant(skylake, "WFC"));
+  ASSERT_EQ(by_name.variant_axis().size(), by_variant.variant_axis().size());
   for (std::size_t v = 0; v < by_name.variant_axis().size(); ++v) {
-    EXPECT_EQ(by_name.variant_axis()[v].name, by_enum.variant_axis()[v].name);
-    EXPECT_EQ(by_name.variant_axis()[v].config.policy,
-              by_enum.variant_axis()[v].config.policy);
+    const auto& a = by_name.variant_axis()[v];
+    const auto& b = by_variant.variant_axis()[v];
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.config.policy, b.config.policy);
+    EXPECT_EQ(a.config.rob_entries, b.config.rob_entries);
+    EXPECT_EQ(a.config.shadow_dcache.entries, b.config.shadow_dcache.entries);
   }
+  EXPECT_EQ(by_name.variant_axis()[1].name, "WFC");
 }
 
 TEST(ExperimentSpec, BaseMachineReshapesEveryVariant) {
@@ -299,6 +304,152 @@ TEST(SimResultHardening, RateHelpersClampInsteadOfUnderflowing) {
   i.icache_misses = 15;  // more misses than accesses
   i.shadow_icache_hits = 2;
   EXPECT_DOUBLE_EQ(i.shadow_icache_hit_fraction(), 0.0);
+}
+
+// ---- cell names -------------------------------------------------------------
+
+TEST(CellName, ParsesOptionalPartsFromTheRightInEitherOrder) {
+  const CellName plain = CellName::parse("mcf/WFC/skylake");
+  EXPECT_EQ(plain.workload, "mcf");
+  EXPECT_EQ(plain.policy, "WFC");
+  EXPECT_EQ(plain.preset, "skylake");
+  EXPECT_EQ(plain.mode, "detailed");
+  EXPECT_EQ(plain.cores, 1);
+
+  const CellName a = CellName::parse("gcc/SHARP/skylake/detailed/cores=2");
+  const CellName b = CellName::parse("gcc/SHARP/skylake/cores=2/detailed");
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.cores, 2);
+  EXPECT_EQ(CellName::parse("mcf/baseline/skylake/cores=1/sampled").mode,
+            "sampled");
+}
+
+TEST(CellName, AcceptsAnAbsoluteTracePath) {
+  const CellName c =
+      CellName::parse("trace:/data/traces/mcf.sstr/baseline/skylake");
+  EXPECT_EQ(c.workload, "trace:/data/traces/mcf.sstr");
+  EXPECT_EQ(c.policy, "baseline");
+  EXPECT_EQ(c.preset, "skylake");
+  const CellName sampled =
+      CellName::parse("trace:/data/x.sstr/WFC/embedded/sampled");
+  EXPECT_EQ(sampled.workload, "trace:/data/x.sstr");
+  EXPECT_EQ(sampled.mode, "sampled");
+}
+
+/// The parse error for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    CellName::parse(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CellName, RejectsRepeatedCores) {
+  const std::string err = parse_error("mcf/baseline/skylake/cores=2/cores=3");
+  EXPECT_NE(err.find("'mcf/baseline/skylake/cores=2/cores=3'"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("cores= given twice"), std::string::npos) << err;
+}
+
+TEST(CellName, RejectsRepeatedMode) {
+  const std::string err =
+      parse_error("mcf/baseline/skylake/sampled/functional");
+  EXPECT_NE(err.find("'mcf/baseline/skylake/sampled/functional'"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("mode given twice"), std::string::npos) << err;
+  // A third optional part leaves a mode or cores= in the preset slot.
+  EXPECT_NE(parse_error("mcf/baseline/skylake/sampled/cores=1/sampled"), "");
+  EXPECT_NE(parse_error("mcf/baseline/sampled/cores=1"), "");
+}
+
+TEST(CellName, RejectsEmptyAndMissingParts) {
+  for (const char* text : {"", "mcf", "mcf/WFC", "mcf//skylake",
+                           "/WFC/skylake", "mcf/WFC/", "mcf/WFC/sampled"}) {
+    EXPECT_NE(parse_error(text), "") << "'" << text << "'";
+  }
+  EXPECT_NE(parse_error("mcf/WFC/skylake/cores=4294967298")
+                .find("\"--cells cores\" is out of range"),
+            std::string::npos);
+}
+
+TEST(CellName, KeyRoundTripsTheDefaultGridAndAnAbsoluteTraceCell) {
+  std::vector<CellName> cells = default_perf_cells();
+  ASSERT_EQ(cells.size(), 20u);
+  cells.push_back({"trace:/data/traces/mcf.sstr", "WFC", "skylake",
+                   "sampled"});
+  for (const CellName& c : cells) {
+    EXPECT_EQ(CellName::parse(c.key()), c) << c.key();
+  }
+  EXPECT_EQ(cells[11].key(), "gcc/SHARP/skylake/cores=2");
+  EXPECT_EQ(cells[16].key(), "mcf/baseline/skylake/sampled");
+}
+
+// ---- resolver ---------------------------------------------------------------
+
+TEST(Resolver, InstructionBudgetIsBounded) {
+  EXPECT_THROW(check_instrs(0, "--instrs"), std::invalid_argument);
+  EXPECT_THROW(check_instrs(kMaxInstrs + 1, "--instrs"),
+               std::invalid_argument);
+  EXPECT_NO_THROW(check_instrs(1, "--instrs"));
+  EXPECT_NO_THROW(check_instrs(kMaxInstrs, "--instrs"));
+  try {
+    check_instrs(461168601842738791ULL, "--instrs");
+    FAIL() << "a wrapping budget was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--instrs must be in [1, 1000000000]");
+  }
+}
+
+TEST(Resolver, ResolveCellBuildsThePresetUnderThePolicy) {
+  const Cell cell =
+      resolve_cell(CellName::parse("mcf/WFC/embedded/cores=2"), {}, 1234);
+  EXPECT_EQ(cell.profile.name, "mcf");
+  EXPECT_EQ(cell.config.policy, "WFC");
+  EXPECT_EQ(cell.config.cores, 2);
+  EXPECT_EQ(cell.config.fetch_width,
+            sim::machine_preset("embedded").core.fetch_width);
+  EXPECT_EQ(cell.instrs, 1234u);
+  EXPECT_FALSE(cell.sampling.enabled());
+
+  const Cell tuned = resolve_cell(CellName::parse("mcf/WFC/skylake"),
+                                  {"rob_entries=128"}, 1000);
+  EXPECT_EQ(tuned.config.rob_entries, 128);
+}
+
+TEST(Resolver, ResolveCellRejectsBadNames) {
+  const std::vector<std::string> none;
+  EXPECT_THROW(resolve_cell({"nope", "WFC", "skylake"}, none, 1000),
+               std::out_of_range);
+  EXPECT_THROW(resolve_cell({"mcf", "nope", "skylake"}, none, 1000),
+               std::out_of_range);
+  EXPECT_ANY_THROW(resolve_cell({"mcf", "WFC", "nope"}, none, 1000));
+  EXPECT_THROW(resolve_cell({"mcf", "WFC", "skylake", "bogus"}, none, 1000),
+               std::invalid_argument);
+  EXPECT_THROW(resolve_cell({"mcf", "WFC", "skylake", "detailed", 65}, none,
+                            1000),
+               std::invalid_argument);
+  EXPECT_THROW(resolve_cell({"mcf", "WFC", "skylake", "sampled", 2}, none,
+                            1000),
+               std::invalid_argument);
+  EXPECT_ANY_THROW(resolve_cell({"mcf", "WFC", "skylake"},
+                                {"predictor.btb_ways=0"}, 1000));
+}
+
+TEST(Resolver, MakeCellCarriesTheMachinesTraceAndSampling) {
+  sim::MachineSpec machine = sim::machine_preset("skylake");
+  machine.trace = "@";
+  machine.sampling.fast_forward_interval = 5000;
+  const Cell cell = make_cell(workloads::profile_by_name("lbm"), machine,
+                              named_variant(machine, "WFB").config, 777);
+  EXPECT_EQ(cell.profile.name, "lbm");
+  EXPECT_EQ(cell.profile.trace_file, "@");
+  EXPECT_EQ(cell.config.policy, "WFB");
+  EXPECT_EQ(cell.sampling.fast_forward_interval, 5000u);
+  EXPECT_EQ(cell.instrs, 777u);
 }
 
 }  // namespace

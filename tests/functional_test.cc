@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "experiment/experiment.h"
 #include "fuzz/fuzz_spec.h"
 #include "fuzz/generator.h"
 #include "isa/program.h"
@@ -340,13 +341,12 @@ TEST(SampledSimulationTest, SampledRunProducesIpcEstimateWithInterval) {
 /// The experiment engine honors MachineSpec::sampling: a cell run under
 /// an enabled spec reports sampled accounting.
 TEST(SampledSimulationTest, RunWorkloadHonorsSamplingSpec) {
-  const auto profile = workloads::profile_by_name("lbm");
-  const cpu::CoreConfig config = sim::machine_preset("skylake").core;
-  SamplingSpec spec;
-  spec.fast_forward_interval = 5'000;
-  spec.warmup_instrs = 500;
-  spec.detail_instrs = 1'000;
-  const auto r = workloads::run_workload(profile, config, 50'000, spec);
+  sim::MachineSpec machine = sim::machine_preset("skylake");
+  machine.sampling.fast_forward_interval = 5'000;
+  machine.sampling.warmup_instrs = 500;
+  machine.sampling.detail_instrs = 1'000;
+  const auto r = experiment::run_cell(experiment::make_cell(
+      workloads::profile_by_name("lbm"), machine, machine.core, 50'000));
   EXPECT_TRUE(r.sampling.enabled);
   EXPECT_GE(r.sampling.windows, 1u);
   EXPECT_GE(r.committed_instrs, 50'000u);

@@ -11,7 +11,6 @@
 #include "isa/program.h"
 #include "safespec/policy.h"
 #include "sim/machine.h"
-#include "sim/sim_config.h"
 
 namespace safespec {
 namespace {
@@ -28,17 +27,6 @@ isa::Program tiny_program() {
 }
 
 // ---- presets ---------------------------------------------------------------
-
-TEST(MachinePreset, SkylakeMatchesLegacySkylakeConfig) {
-  const auto preset = sim::machine_preset("skylake");
-  const auto legacy = sim::skylake_config();
-  EXPECT_EQ(preset.core.rob_entries, legacy.rob_entries);
-  EXPECT_EQ(preset.core.ldq_entries, legacy.ldq_entries);
-  EXPECT_EQ(preset.core.hierarchy.l3.size_bytes,
-            legacy.hierarchy.l3.size_bytes);
-  EXPECT_EQ(preset.core.shadow_icache.entries, legacy.shadow_icache.entries);
-  EXPECT_EQ(preset.core.policy, "baseline");
-}
 
 TEST(MachinePreset, EmbeddedIsRegisteredAndSecurelySized) {
   const auto spec = sim::machine_preset("embedded");
@@ -896,8 +884,6 @@ TEST(PolicyRegistry, ShipsThePaperFamilyPlusWfbStall) {
   EXPECT_TRUE(policy::named_policy("WFC").shadows_speculation());
   EXPECT_FALSE(policy::named_policy("WFC").promote_at_branch_resolution());
   EXPECT_TRUE(policy::named_policy("WFB").promote_at_branch_resolution());
-  EXPECT_EQ(policy::named_policy("WFB").commit_policy(),
-            shadow::CommitPolicy::kWFB);
 }
 
 TEST(PolicyRegistry, UnknownNameListsRegisteredPolicies) {

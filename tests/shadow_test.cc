@@ -169,9 +169,6 @@ TEST(ShadowTable, ReusesFreedSlots) {
 }
 
 TEST(PolicyNames, ToString) {
-  EXPECT_STREQ(to_string(CommitPolicy::kBaseline), "baseline");
-  EXPECT_STREQ(to_string(CommitPolicy::kWFB), "WFB");
-  EXPECT_STREQ(to_string(CommitPolicy::kWFC), "WFC");
   EXPECT_STREQ(to_string(FullPolicy::kDrop), "drop");
   EXPECT_STREQ(to_string(FullPolicy::kStall), "stall");
 }

@@ -4,9 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
-#include "sim/sim_config.h"
-#include "workloads/runner.h"
+#include "experiment/experiment.h"
+#include "sim/machine.h"
 #include "workloads/workload.h"
 
 namespace safespec::workloads {
@@ -128,21 +129,22 @@ TEST(TraceWorkloads, EmptyTraceSpecRejected) {
 // budget) under every policy with a plausible IPC.
 struct SweepParam {
   std::string profile;
-  shadow::CommitPolicy policy;
+  const char* policy;  ///< registry name
 };
 
 class WorkloadSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(WorkloadSweep, RunsWithSaneStatistics) {
-  const auto profile = profile_by_name(GetParam().profile);
-  const auto r = run_workload(profile, sim::skylake_config(GetParam().policy),
-                              5'000);
+  const auto machine = sim::machine_preset("skylake");
+  const auto r = experiment::run_cell(experiment::make_cell(
+      profile_by_name(GetParam().profile), machine,
+      experiment::named_variant(machine, GetParam().policy).config, 5'000));
   EXPECT_GE(r.committed_instrs, 5'000u);
   EXPECT_GT(r.ipc, 0.01);
   EXPECT_LT(r.ipc, 6.0);
   EXPECT_LE(r.dcache_miss_rate_incl_shadow(), 1.0);
   EXPECT_LE(r.icache_miss_rate_incl_shadow(), 1.0);
-  if (GetParam().policy != shadow::CommitPolicy::kBaseline) {
+  if (std::string(GetParam().policy) != "baseline") {
     // Shadow occupancy percentiles must respect the structure bounds.
     EXPECT_LE(r.shadow_dcache_p9999, 72u);
     EXPECT_LE(r.shadow_icache_p9999, 224u);
@@ -152,9 +154,7 @@ TEST_P(WorkloadSweep, RunsWithSaneStatistics) {
 std::vector<SweepParam> sweep_params() {
   std::vector<SweepParam> out;
   for (const auto& p : spec2017_profiles()) {
-    for (auto policy : {shadow::CommitPolicy::kBaseline,
-                        shadow::CommitPolicy::kWFB,
-                        shadow::CommitPolicy::kWFC}) {
+    for (const char* policy : {"baseline", "WFB", "WFC"}) {
       out.push_back({p.name, policy});
     }
   }
@@ -164,8 +164,7 @@ std::vector<SweepParam> sweep_params() {
 INSTANTIATE_TEST_SUITE_P(
     AllProfilesAllPolicies, WorkloadSweep, ::testing::ValuesIn(sweep_params()),
     [](const ::testing::TestParamInfo<SweepParam>& info) {
-      return info.param.profile + "_" +
-             shadow::to_string(info.param.policy);
+      return info.param.profile + "_" + info.param.policy;
     });
 
 }  // namespace

@@ -20,23 +20,20 @@
 // downgrades a failure to a warning. Exit 2 on malformed input.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "campaign/perf_artifacts.h"
+#include "common/cli.h"
 
 namespace {
 
-/// The cell schema, the key grammar and the loader live in
-/// campaign/perf_artifacts.h, shared with perf_driver's consumers (the
-/// campaign trend report reads the same artifacts).
+/// The cell schema and the loader live in campaign/perf_artifacts.h (the
+/// campaign trend report reads the same artifacts); a cell's key is its
+/// experiment::CellName, the grammar perf_driver's --cells parses.
 using Cell = safespec::campaign::PerfCell;
-
-std::vector<Cell> load_cells(const std::string& path) {
-  return safespec::campaign::load_perf_cells(path);
-}
+using safespec::campaign::load_perf_cells;
 
 const Cell* find_cell(const std::vector<Cell>& cells, const std::string& key) {
   for (const Cell& c : cells) {
@@ -55,34 +52,24 @@ void usage(const char* prog, std::FILE* out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> positional;
   double max_drop = 0.10;
   std::string summary_path;
   bool waived = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      usage(argv[0], stdout);
-      return 0;
-    } else if (std::strncmp(arg, "--max-drop=", 11) == 0) {
-      max_drop = std::atof(arg + 11);
-      if (!(max_drop > 0.0 && max_drop < 1.0)) {
-        std::fprintf(stderr, "--max-drop must be in (0, 1)\n");
-        return 2;
-      }
-    } else if (std::strncmp(arg, "--summary=", 10) == 0) {
-      summary_path = arg + 10;
-    } else if (std::strcmp(arg, "--waived") == 0) {
-      waived = true;
-    } else if (arg[0] == '-') {
-      std::fprintf(stderr, "unknown argument: %s\n", arg);
-      usage(argv[0], stderr);
-      return 2;
-    } else {
-      positional.emplace_back(arg);
-    }
-  }
+  safespec::cli::FlagSet flags(usage);
+  flags
+      .value("--max-drop",
+             [&max_drop](const char* value) {
+               max_drop = std::atof(value);
+               if (!(max_drop > 0.0 && max_drop < 1.0)) {
+                 std::fprintf(stderr, "--max-drop must be in (0, 1)\n");
+                 std::exit(2);
+               }
+             })
+      .string("--summary", &summary_path)
+      .set_true("--waived", &waived)
+      .allow_positional();
+  const std::vector<std::string> positional = flags.parse(argc, argv);
   if (positional.size() != 2) {
     usage(argv[0], stderr);
     return 2;
@@ -90,8 +77,8 @@ int main(int argc, char** argv) {
 
   std::vector<Cell> base, head;
   try {
-    base = load_cells(positional[0]);
-    head = load_cells(positional[1]);
+    base = load_perf_cells(positional[0]);
+    head = load_perf_cells(positional[1]);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perf_compare: %s\n", e.what());
     return 2;

@@ -69,9 +69,8 @@ struct RunSummary {
 RunSummary run_image(workloads::WorkloadImage image, std::uint64_t instrs) {
   auto sim = workloads::make_image_sim(std::move(image), cpu::CoreConfig{});
   RunSummary out;
-  // Same budget shape as workloads::run_workload; instrs == 0 runs to
-  // halt (fuzz programs terminate on their own).
-  out.result = sim->run(instrs * 40 + 1'000'000,
+  // instrs == 0 runs to halt (fuzz programs terminate on their own).
+  out.result = sim->run(workloads::cycle_budget(instrs),
                         instrs == 0 ? ~0ULL : instrs);
   for (int r = 0; r < kNumArchRegs; ++r) {
     out.regs[r] = sim->core().reg(static_cast<RegIndex>(r));

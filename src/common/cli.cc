@@ -197,11 +197,9 @@ BenchOptions parse_bench_args(int argc, char** argv, const char* extra_usage,
     print_bench_usage(prog, have_extra ? extra.c_str() : nullptr,
                       default_instrs, out);
   });
-  // The historical bench loop parsed --threads with atoi — tolerant of
-  // trailing garbage. Kept bit-for-bit. --instrs is strict: "abc" must
-  // not run every cell at zero instructions.
-  flags.value("--threads",
-              [&opts](const char* v) { opts.threads = std::atoi(v); });
+  // Both counts are strict: "abc" must neither run every cell at zero
+  // instructions nor on every hardware thread.
+  flags.bounded_int("--threads", &opts.threads);
   flags.string("--csv", &opts.csv_path);
   flags.string("--json", &opts.json_path);
   flags.u64("--instrs", &opts.instrs);

@@ -4,50 +4,6 @@
 
 namespace safespec::isa {
 
-std::uint64_t eval_alu(AluOp op, std::uint64_t a, std::uint64_t b) {
-  switch (op) {
-    case AluOp::kAdd:
-      return a + b;
-    case AluOp::kSub:
-      return a - b;
-    case AluOp::kAnd:
-      return a & b;
-    case AluOp::kOr:
-      return a | b;
-    case AluOp::kXor:
-      return a ^ b;
-    case AluOp::kShl:
-      return a << (b & 63);
-    case AluOp::kShr:
-      return a >> (b & 63);
-    case AluOp::kMul:
-      return a * b;
-    case AluOp::kDiv:
-      return b == 0 ? ~0ULL : a / b;
-    case AluOp::kMovImm:
-      return b;
-  }
-  return 0;
-}
-
-bool eval_cond(CondOp op, std::uint64_t a, std::uint64_t b) {
-  switch (op) {
-    case CondOp::kEq:
-      return a == b;
-    case CondOp::kNe:
-      return a != b;
-    case CondOp::kLt:
-      return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
-    case CondOp::kGe:
-      return static_cast<std::int64_t>(a) >= static_cast<std::int64_t>(b);
-    case CondOp::kLtu:
-      return a < b;
-    case CondOp::kGeu:
-      return a >= b;
-  }
-  return false;
-}
-
 namespace {
 const char* op_name(OpClass op) {
   switch (op) {

@@ -58,6 +58,7 @@ enum class AluOp : std::uint8_t {
   kDiv,
   kMovImm,  ///< dst = imm (src operands ignored)
 };
+inline constexpr int kNumAluOps = static_cast<int>(AluOp::kMovImm) + 1;
 
 /// Comparison predicate for conditional branches.
 enum class CondOp : std::uint8_t {
@@ -68,6 +69,7 @@ enum class CondOp : std::uint8_t {
   kLtu,  ///< unsigned less-than
   kGeu,
 };
+inline constexpr int kNumCondOps = static_cast<int>(CondOp::kGeu) + 1;
 
 /// Link register used by kCall / kRet (like RISC ra).
 inline constexpr RegIndex kLinkReg = 31;
@@ -107,11 +109,53 @@ struct Instruction {
 
 /// Evaluates an ALU/MUL/DIV operation. Division by zero yields all-ones
 /// (matching x86's #DE being out of scope — workloads never divide by 0;
-/// the total function keeps the simulator exception-free here).
-std::uint64_t eval_alu(AluOp op, std::uint64_t a, std::uint64_t b);
+/// the total function keeps the simulator exception-free here). Inline so
+/// a caller that passes a constant `op` (the functional engine's fused
+/// cases) folds the switch away.
+inline std::uint64_t eval_alu(AluOp op, std::uint64_t a, std::uint64_t b) {
+  switch (op) {
+    case AluOp::kAdd:
+      return a + b;
+    case AluOp::kSub:
+      return a - b;
+    case AluOp::kAnd:
+      return a & b;
+    case AluOp::kOr:
+      return a | b;
+    case AluOp::kXor:
+      return a ^ b;
+    case AluOp::kShl:
+      return a << (b & 63);
+    case AluOp::kShr:
+      return a >> (b & 63);
+    case AluOp::kMul:
+      return a * b;
+    case AluOp::kDiv:
+      return b == 0 ? ~0ULL : a / b;
+    case AluOp::kMovImm:
+      return b;
+  }
+  return 0;
+}
 
-/// Evaluates a branch predicate.
-bool eval_cond(CondOp op, std::uint64_t a, std::uint64_t b);
+/// Evaluates a branch predicate. Inline for the same reason as eval_alu.
+inline bool eval_cond(CondOp op, std::uint64_t a, std::uint64_t b) {
+  switch (op) {
+    case CondOp::kEq:
+      return a == b;
+    case CondOp::kNe:
+      return a != b;
+    case CondOp::kLt:
+      return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
+    case CondOp::kGe:
+      return static_cast<std::int64_t>(a) >= static_cast<std::int64_t>(b);
+    case CondOp::kLtu:
+      return a < b;
+    case CondOp::kGeu:
+      return a >= b;
+  }
+  return false;
+}
 
 /// Human-readable disassembly (for logs and test failure messages).
 std::string to_string(const Instruction& inst);

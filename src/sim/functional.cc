@@ -1,6 +1,7 @@
 #include "sim/functional.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "isa/instruction.h"
 
@@ -10,15 +11,53 @@ using cpu::StopReason;
 using isa::OpClass;
 
 namespace {
-/// Ceiling on the dense predecode table (slots, i.e. instructions).
-/// Every real program here — workload text, fuzz programs, attack PoCs —
-/// spans a few KiB to a few hundred KiB of pc range; 1M slots (4 MiB of
-/// pc range, ~40 MB of table) is far above all of them while bounding
-/// the cost of a pathological far-flung gadget. Programs that exceed it
-/// keep a partial table over the densest prefix and fall back to the
-/// Program map past it.
-constexpr Addr kMaxDenseSlots = Addr{1} << 20;
+/// Fused op codes of FunctionalEngine::Op. 0 is a hole in the text (the
+/// run ends with kFaultNoHandler). A class with nothing to fuse has one
+/// code; kAlu, kMul and kDiv fuse their AluOp with the operand form and
+/// share these codes, since they differ only in latency, which this
+/// engine has none of; kBranch fuses its CondOp.
+constexpr int kHole = 0;
+constexpr int class_code(OpClass op) { return 1 + static_cast<int>(op); }
+constexpr int kAluReg = class_code(OpClass::kHalt) + 1;  ///< b = R[src2]
+constexpr int kAluImm = kAluReg + isa::kNumAluOps;       ///< b = imm
+constexpr int kBranchCond = kAluImm + isa::kNumAluOps;
+static_assert(kBranchCond + isa::kNumCondOps <= 256, "codes fit a byte");
+
+constexpr int alu_code(isa::AluOp op, bool use_imm) {
+  return (use_imm ? kAluImm : kAluReg) + static_cast<int>(op);
+}
+constexpr int branch_code(isa::CondOp cond) {
+  return kBranchCond + static_cast<int>(cond);
+}
 }  // namespace
+
+FunctionalEngine::Op FunctionalEngine::decode(const isa::Instruction& inst,
+                                              Addr pc) {
+  Op op;
+  op.dst = inst.writes_register() ? inst.dst : kSinkReg;
+  op.src1 = inst.src1;
+  op.src2 = inst.src2;
+  op.imm = inst.imm;
+  op.target = inst.target;
+  int code = class_code(inst.op);
+  switch (inst.op) {
+    case OpClass::kAlu:
+    case OpClass::kMul:
+    case OpClass::kDiv:
+      code = alu_code(inst.alu, inst.use_imm);
+      break;
+    case OpClass::kBranch:
+      code = branch_code(inst.cond);
+      break;
+    case OpClass::kCall:
+      op.imm = static_cast<std::int64_t>(pc + isa::kInstrBytes);  // link
+      break;
+    default:
+      break;
+  }
+  op.code = static_cast<std::uint8_t>(code);
+  return op;
+}
 
 FunctionalEngine::FunctionalEngine(const isa::Program* program,
                                    memory::MainMemory* mem,
@@ -41,7 +80,7 @@ void FunctionalEngine::predecode() {
   for (const Addr pc : pcs) {
     const Addr slot = (pc - text_base_) / isa::kInstrBytes;
     if (slot >= slots) break;  // pcs ascend; the rest overflow too
-    text_[static_cast<std::size_t>(slot)] = {*program_->at(pc), true};
+    text_[static_cast<std::size_t>(slot)] = decode(*program_->at(pc), pc);
     ++covered;
   }
   dense_covers_all_ = covered == pcs.size();
@@ -68,14 +107,6 @@ void FunctionalEngine::invalidate_translations() {
   xlat_tag_.fill(0);
 }
 
-bool FunctionalEngine::handle_fault() {
-  ++faults_;
-  const auto handler = program_->fault_handler();
-  if (!handler.has_value()) return false;
-  pc_ = *handler;
-  return true;
-}
-
 void FunctionalEngine::log_word(Addr addr) {
   const Addr word = addr & ~Addr{7};
   if (delta_seen_.contains(word)) return;
@@ -85,7 +116,7 @@ void FunctionalEngine::log_word(Addr addr) {
 
 ArchCheckpoint FunctionalEngine::checkpoint() {
   ArchCheckpoint cp;
-  std::copy(std::begin(regs_), std::end(regs_), cp.regs.begin());
+  std::copy(regs_, regs_ + kNumArchRegs, cp.regs.begin());
   cp.pc = pc_;
   cp.committed = committed_;
   cp.faults = faults_;
@@ -143,97 +174,141 @@ StopReason FunctionalEngine::run(std::uint64_t max_instrs) {
   const std::uint64_t headroom = ~std::uint64_t{0} - committed_;
   const std::uint64_t budget_end =
       committed_ + std::min(max_instrs, headroom);
+  const std::optional<Addr> fault_handler = program_->fault_handler();
 
-  while (committed_ < budget_end) {
-    const isa::Instruction* inst = fetch(pc_);
-    if (inst == nullptr) {
-      // Committed control flow reached a pc with no instruction — the
+  // The loop runs on locals (memory stores may alias members as far as
+  // the compiler knows) and writes them back on every exit.
+  Addr pc = pc_;
+  std::uint64_t committed = committed_;
+  std::uint64_t* const regs = regs_;
+  const Op* const text = text_.data();
+  const Addr text_slots = text_.size();
+  Op scratch;
+  const auto stop = [&](StopReason why) {
+    pc_ = pc;
+    committed_ = committed;
+    return why;
+  };
+  // Fault dispatch: redirect to the handler, or end the run.
+  const auto fault = [&] {
+    ++faults_;
+    if (!fault_handler.has_value()) return false;
+    pc = *fault_handler;
+    return true;
+  };
+
+  while (committed < budget_end) {
+    // Rotating the offset right by log2(kInstrBytes) maps a misaligned pc
+    // past the table, so one compare checks alignment and range.
+    static_assert(isa::kInstrBytes == 4);
+    const Addr offset = pc - text_base_;
+    const Addr slot = (offset >> 2) | (offset << 62);
+    const Op* op = &scratch;
+    if (slot < text_slots) {
+      op = &text[slot];
+    } else {
+      const isa::Instruction* inst =
+          dense_covers_all_ ? nullptr : program_->at(pc);
+      // Committed control flow reached a pc with no instruction: the
       // core's front end stalls with an empty pipeline and its run loop
       // reports an unhandled fault.
-      return StopReason::kFaultNoHandler;
+      if (inst == nullptr) return stop(StopReason::kFaultNoHandler);
+      scratch = decode(*inst, pc);
     }
 
-    Addr next_pc = pc_ + isa::kInstrBytes;
-    switch (inst->op) {
-      case OpClass::kNop:
-      case OpClass::kFence:
+    Addr next_pc = pc + isa::kInstrBytes;
+    Addr vaddr = 0;
+    Addr paddr = 0;
+    switch (op->code) {
+      case kHole:
+        return stop(StopReason::kFaultNoHandler);
+      case class_code(OpClass::kNop):
+      case class_code(OpClass::kFence):
         break;
-      case OpClass::kAlu:
-      case OpClass::kMul:
-      case OpClass::kDiv: {
-        const std::uint64_t b =
-            inst->use_imm ? static_cast<std::uint64_t>(inst->imm)
-                          : regs_[inst->src2];
-        set_reg(inst->dst, isa::eval_alu(inst->alu, regs_[inst->src1], b));
-        break;
-      }
-      case OpClass::kRdCycle:
+#define SAFESPEC_ALU_CASES(A)                                              \
+  case alu_code(isa::AluOp::A, false):                                     \
+    regs[op->dst] =                                                        \
+        isa::eval_alu(isa::AluOp::A, regs[op->src1], regs[op->src2]);      \
+    break;                                                                 \
+  case alu_code(isa::AluOp::A, true):                                      \
+    regs[op->dst] = isa::eval_alu(isa::AluOp::A, regs[op->src1],           \
+                                  static_cast<std::uint64_t>(op->imm));    \
+    break;
+      SAFESPEC_ALU_CASES(kAdd)
+      SAFESPEC_ALU_CASES(kSub)
+      SAFESPEC_ALU_CASES(kAnd)
+      SAFESPEC_ALU_CASES(kOr)
+      SAFESPEC_ALU_CASES(kXor)
+      SAFESPEC_ALU_CASES(kShl)
+      SAFESPEC_ALU_CASES(kShr)
+      SAFESPEC_ALU_CASES(kMul)
+      SAFESPEC_ALU_CASES(kDiv)
+      SAFESPEC_ALU_CASES(kMovImm)
+#undef SAFESPEC_ALU_CASES
+#define SAFESPEC_BRANCH_CASE(C)                                            \
+  case branch_code(isa::CondOp::C):                                        \
+    if (isa::eval_cond(isa::CondOp::C, regs[op->src1], regs[op->src2])) {  \
+      next_pc = op->target;                                                \
+    }                                                                      \
+    break;
+      SAFESPEC_BRANCH_CASE(kEq)
+      SAFESPEC_BRANCH_CASE(kNe)
+      SAFESPEC_BRANCH_CASE(kLt)
+      SAFESPEC_BRANCH_CASE(kGe)
+      SAFESPEC_BRANCH_CASE(kLtu)
+      SAFESPEC_BRANCH_CASE(kGeu)
+#undef SAFESPEC_BRANCH_CASE
+      case class_code(OpClass::kRdCycle):
         // Documented divergence: no cycle exists here. See header.
-        set_reg(inst->dst, committed_);
+        regs[op->dst] = committed;
         break;
-      case OpClass::kLoad: {
-        const Addr vaddr =
-            regs_[inst->src1] + static_cast<std::uint64_t>(inst->imm);
-        Addr paddr = 0;
+      case class_code(OpClass::kLoad):
+        vaddr = regs[op->src1] + static_cast<std::uint64_t>(op->imm);
         if (!translate(vaddr, paddr)) {
-          if (!handle_fault()) return StopReason::kFaultNoHandler;
+          if (!fault()) return stop(StopReason::kFaultNoHandler);
           continue;  // faulting instruction never commits
         }
-        set_reg(inst->dst, mem_->read64(paddr));
+        regs[op->dst] = mem_->read64(paddr);
         break;
-      }
-      case OpClass::kStore: {
-        const Addr vaddr =
-            regs_[inst->src1] + static_cast<std::uint64_t>(inst->imm);
-        Addr paddr = 0;
+      case class_code(OpClass::kStore):
+        vaddr = regs[op->src1] + static_cast<std::uint64_t>(op->imm);
         if (!translate(vaddr, paddr)) {
-          if (!handle_fault()) return StopReason::kFaultNoHandler;
-          continue;
+          if (!fault()) return stop(StopReason::kFaultNoHandler);
+          continue;  // faulting instruction never commits
         }
         if (record_delta_) log_word(paddr);
-        mem_->write64(paddr, regs_[inst->src2]);
+        mem_->write64(paddr, regs[op->src2]);
         break;
-      }
-      case OpClass::kFlush: {
+      case class_code(OpClass::kFlush):
         // No architectural effect, but the address still translates and
         // can fault — exactly as the core's commit path behaves.
-        const Addr vaddr =
-            regs_[inst->src1] + static_cast<std::uint64_t>(inst->imm);
-        Addr paddr = 0;
+        vaddr = regs[op->src1] + static_cast<std::uint64_t>(op->imm);
         if (!translate(vaddr, paddr)) {
-          if (!handle_fault()) return StopReason::kFaultNoHandler;
-          continue;
+          if (!fault()) return stop(StopReason::kFaultNoHandler);
+          continue;  // faulting instruction never commits
         }
         break;
-      }
-      case OpClass::kBranch:
-        if (isa::eval_cond(inst->cond, regs_[inst->src1],
-                           regs_[inst->src2])) {
-          next_pc = inst->target;
-        }
+      case class_code(OpClass::kJump):
+        next_pc = op->target;
         break;
-      case OpClass::kJump:
-        next_pc = inst->target;
+      case class_code(OpClass::kCall):
+        regs[op->dst] = static_cast<std::uint64_t>(op->imm);  // link value
+        next_pc = op->target;
         break;
-      case OpClass::kCall:
-        set_reg(inst->dst, pc_ + isa::kInstrBytes);  // link value
-        next_pc = inst->target;
+      case class_code(OpClass::kBranchIndirect):
+        next_pc = regs[op->src1] + static_cast<Addr>(op->imm);
         break;
-      case OpClass::kBranchIndirect:
-        next_pc = regs_[inst->src1] + static_cast<Addr>(inst->imm);
+      case class_code(OpClass::kRet):
+        next_pc = regs[op->src1];
         break;
-      case OpClass::kRet:
-        next_pc = regs_[inst->src1];
-        break;
-      case OpClass::kHalt:
-        ++committed_;
-        return StopReason::kHalted;
+      case class_code(OpClass::kHalt):
+        ++committed;
+        return stop(StopReason::kHalted);
     }
-
-    ++committed_;
-    pc_ = next_pc;
+    ++committed;
+    pc = next_pc;
   }
-  return StopReason::kMaxInstrs;
+  return stop(StopReason::kMaxInstrs);
 }
 
 }  // namespace safespec::sim

@@ -6,9 +6,12 @@
 // the out-of-order core produces. It is also the sampled-simulation
 // fast-forward path, so it gets the detailed core's hot-path treatment:
 //
-//   * the program text is predecoded into a dense slot table indexed by
-//     (pc - base) / kInstrBytes, so the per-instruction fetch is a
-//     bounds check + load instead of a PagedAddrMap probe;
+//   * the program text is predecoded into a dense table of 24-byte ops
+//     indexed by (pc - base) / kInstrBytes, so the per-instruction fetch
+//     is a bounds check + load instead of a PagedAddrMap probe;
+//   * each op carries one fused code (class x ALU op x operand form, or
+//     branch x condition), so the step loop is a single switch whose
+//     cases call isa::eval_alu / eval_cond with a constant selector;
 //   * data translations go through a small direct-mapped cache in front
 //     of PageTable::translate, so the per-access cost is one tag
 //     compare in the (overwhelmingly common) re-touched-page case;
@@ -76,6 +79,15 @@ struct ArchCheckpoint {
 
 class FunctionalEngine {
  public:
+  /// Ceiling on the dense predecode table (ops, i.e. instructions).
+  /// Every real program here — workload text, fuzz programs, attack PoCs
+  /// — spans a few KiB to a few hundred KiB of pc range; 1M ops (4 MiB of
+  /// pc range, 24 MB of table) is far above all of them while bounding
+  /// the cost of a pathological far-flung gadget. Programs that exceed it
+  /// keep a partial table over the lowest pcs, and run() decodes a pc
+  /// past it from the Program.
+  static constexpr Addr kMaxDenseSlots = Addr{1} << 20;
+
   /// Borrows everything; `mem` is mutated by stores.
   FunctionalEngine(const isa::Program* program, memory::MainMemory* mem,
                    const memory::PageTable* page_table);
@@ -133,36 +145,30 @@ class FunctionalEngine {
   void reset();
 
  private:
-  /// Predecoded instruction slot. `present` distinguishes real
-  /// instructions from holes in the dense table.
-  struct Slot {
-    isa::Instruction inst;
-    bool present = false;
+  /// One predecoded instruction. `code` fuses the operation class with
+  /// its ALU op and operand form or its branch condition (see Code in
+  /// functional.cc), so the step loop dispatches once per instruction;
+  /// code 0 is a hole in the text. A register write to r0 is predecoded
+  /// to the sink register kSinkReg, so no case tests for r0.
+  struct Op {
+    std::uint8_t code = 0;
+    RegIndex dst = kZeroReg;
+    RegIndex src1 = kZeroReg;
+    RegIndex src2 = kZeroReg;
+    std::int64_t imm = 0;  ///< operand, displacement, or kCall's link value
+    Addr target = 0;       ///< static target of a direct branch
   };
+  static_assert(sizeof(Op) <= 24, "Op is the step loop's per-pc load");
 
-  /// Dense-table fetch when the program's text span fits, PagedAddrMap
-  /// fallback otherwise. Returns nullptr on a hole / out-of-range /
-  /// misaligned pc — the kFaultNoHandler path.
-  const isa::Instruction* fetch(Addr pc) const {
-    const Addr offset = pc - text_base_;
-    if (offset % isa::kInstrBytes == 0) {
-      const Addr slot = offset / isa::kInstrBytes;
-      if (slot < text_.size()) {
-        const Slot& s = text_[slot];
-        return s.present ? &s.inst : nullptr;
-      }
-    }
-    if (dense_covers_all_) return nullptr;
-    return program_->at(pc);
-  }
+  /// Register-file slot that absorbs writes to r0; never read.
+  static constexpr RegIndex kSinkReg = kNumArchRegs;
+
+  static Op decode(const isa::Instruction& inst, Addr pc);
 
   /// Translates a data address through the translation cache; returns
   /// false when the access must fault (unmapped, or kernel-only at the
   /// engine's fixed user level).
   bool translate(Addr vaddr, Addr& paddr);
-
-  /// Fault dispatch: redirect to the handler, or end the run.
-  bool handle_fault();
 
   /// Records the word containing `addr` into the current delta epoch
   /// (first write per word only). Called before the store mutates it.
@@ -174,9 +180,11 @@ class FunctionalEngine {
   memory::MainMemory* mem_;
   const memory::PageTable* page_table_;
 
-  // Predecoded text. `dense_covers_all_` means every instruction of the
-  // program landed in text_, so a miss is authoritative.
-  std::vector<Slot> text_;
+  // Predecoded text, indexed by (pc - text_base_) / kInstrBytes.
+  // `dense_covers_all_` means every instruction of the program landed in
+  // text_, so a miss is authoritative; otherwise run() decodes a pc past
+  // the table from the Program.
+  std::vector<Op> text_;
   Addr text_base_ = 0;
   bool dense_covers_all_ = false;
 
@@ -187,7 +195,7 @@ class FunctionalEngine {
   std::array<Addr, kXlatEntries> xlat_tag_{};
   std::array<Addr, kXlatEntries> xlat_ppage_{};
 
-  std::uint64_t regs_[kNumArchRegs] = {};
+  std::uint64_t regs_[kNumArchRegs + 1] = {};  ///< + kSinkReg
   Addr pc_ = 0;
   std::uint64_t committed_ = 0;
   std::uint64_t faults_ = 0;

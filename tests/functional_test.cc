@@ -3,7 +3,8 @@
 // checkpoint equivalence at arbitrary window boundaries, checkpoint
 // save/restore round-trips (including mid-fault-handler state and the
 // memory-delta rollback path), the ff=0 bit-identity guarantee, sampled
-// IPC-estimate sanity, and translation-cache invalidation.
+// IPC-estimate sanity, translation-cache invalidation, and the fused
+// decoder's coverage of every op, condition and operand form.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -425,6 +426,207 @@ TEST(FunctionalEngineTest, InvalidateTranslationsSeesRemappedPages) {
   engine.restore(ArchCheckpoint{});
   ASSERT_EQ(engine.run(100), cpu::StopReason::kHalted);
   EXPECT_EQ(engine.reg(static_cast<RegIndex>(2)), 0xBBBBu);
+}
+
+// ---- fused decoder coverage ----------------------------------------------
+
+constexpr Addr kTinyText = 0x1000;
+constexpr Addr kTinyData = 0x10000;
+
+/// A hand-written program as a FuzzProgram, so the engine/core drivers
+/// above run it: one user data page at kTinyData holding `data_word`.
+FuzzProgram tiny_program(isa::Program program, std::uint64_t data_word = 0) {
+  FuzzProgram fp;
+  program.set_entry(kTinyText);
+  fp.program = std::move(program);
+  fp.regions.push_back({kTinyData, kPageSize, memory::PagePerm::kUser});
+  fp.pokes.push_back({kTinyData, data_word});
+  fp.max_instrs_hint = 1'000;
+  return fp;
+}
+
+/// Every ALU op in each class that executes one (kAlu, kMul, kDiv) and
+/// each operand form, against isa::eval_alu and the detailed core: one
+/// program per row, the instruction under test applied to every operand
+/// pair, including a zero divisor and shift counts of 64 and more.
+TEST(FusedDecoderTest, EveryAluOpClassAndOperandFormMatchesEvalAndCore) {
+  const std::pair<std::uint64_t, std::uint64_t> operands[] = {
+      {42, 6}, {42, 0}, {1, 64}, {0x8000'0000'0000'0001ULL, 65},
+      {~0ULL, 127}, {0x1234'5678'9abc'def0ULL, 3},
+  };
+  constexpr RegIndex kA = 1, kB = 2, kFirstDst = 10;
+  for (const isa::OpClass cls :
+       {isa::OpClass::kAlu, isa::OpClass::kMul, isa::OpClass::kDiv}) {
+    for (int a = 0; a < isa::kNumAluOps; ++a) {
+      const auto alu = static_cast<isa::AluOp>(a);
+      for (const bool use_imm : {false, true}) {
+        isa::ProgramBuilder b(kTinyText);
+        RegIndex dst = kFirstDst;
+        for (const auto& [x, y] : operands) {
+          b.movi(kA, static_cast<std::int64_t>(x));
+          b.movi(kB, static_cast<std::int64_t>(y));
+          isa::Instruction inst;
+          inst.op = cls;
+          inst.alu = alu;
+          inst.dst = dst++;
+          inst.src1 = kA;
+          inst.src2 = use_imm ? kZeroReg : kB;
+          inst.use_imm = use_imm;
+          inst.imm = use_imm ? static_cast<std::int64_t>(y) : 0;
+          b.emit(inst);
+        }
+        b.halt();
+        const FuzzProgram fp = tiny_program(b.build());
+        const std::string row = isa::to_string(*fp.program.at(
+                                    kTinyText + 2 * isa::kInstrBytes)) +
+                                " alu=" + std::to_string(a) +
+                                (use_imm ? " imm" : " reg");
+        const FinalState engine = engine_final_state(fp);
+        ASSERT_EQ(engine.stop, cpu::StopReason::kHalted) << row;
+        dst = kFirstDst;
+        for (const auto& [x, y] : operands) {
+          EXPECT_EQ(engine.regs[dst++], isa::eval_alu(alu, x, y))
+              << row << " a=" << x << " b=" << y;
+        }
+        expect_equal(engine, detailed_final_state(fp), row);
+      }
+    }
+  }
+}
+
+/// Every branch condition, taken and not taken, signed and unsigned
+/// orderings apart, against isa::eval_cond and the detailed core.
+TEST(FusedDecoderTest, EveryBranchConditionMatchesEvalAndCore) {
+  const std::pair<std::uint64_t, std::uint64_t> operands[] = {
+      {5, 5}, {3, 9}, {9, 3}, {~0ULL, 1}, {1, ~0ULL},
+  };
+  for (int c = 0; c < isa::kNumCondOps; ++c) {
+    const auto cond = static_cast<isa::CondOp>(c);
+    for (const auto& [x, y] : operands) {
+      isa::ProgramBuilder b(kTinyText);
+      b.movi(1, static_cast<std::int64_t>(x));
+      b.movi(2, static_cast<std::int64_t>(y));
+      b.branch(cond, 1, 2, "taken");
+      b.movi(3, 1);
+      b.halt();
+      b.label("taken");
+      b.movi(3, 2);
+      b.halt();
+      const FuzzProgram fp = tiny_program(b.build());
+      const std::string row = "cond=" + std::to_string(c) +
+                              " a=" + std::to_string(x) +
+                              " b=" + std::to_string(y);
+      const FinalState engine = engine_final_state(fp);
+      ASSERT_EQ(engine.stop, cpu::StopReason::kHalted) << row;
+      EXPECT_EQ(engine.regs[3], isa::eval_cond(cond, x, y) ? 2u : 1u) << row;
+      expect_equal(engine, detailed_final_state(fp), row);
+    }
+  }
+}
+
+/// A write to r0 from every class that writes a register (ALU in both
+/// operand forms, load, call, rdcycle) is dropped: r0 reads 0 both to a
+/// later instruction and through the engine's accessors.
+TEST(FusedDecoderTest, WritesToZeroRegisterAreDropped) {
+  isa::ProgramBuilder b(kTinyText);
+  b.movi(1, static_cast<std::int64_t>(kTinyData));
+  b.movi(kZeroReg, 77);
+  b.alu(isa::AluOp::kAdd, kZeroReg, 1, 1);
+  b.load(kZeroReg, 1);
+  b.rdcycle(kZeroReg);
+  isa::Instruction call;
+  call.op = isa::OpClass::kCall;
+  call.dst = kZeroReg;
+  call.target = b.here() + isa::kInstrBytes;
+  b.emit(call);
+  b.alu(isa::AluOp::kOr, 5, kZeroReg, kZeroReg);  // r5 = r0
+  b.halt();
+  const FuzzProgram fp = tiny_program(b.build(), 0xDEAD);
+
+  memory::MainMemory mem;
+  memory::PageTable pt;
+  fuzz::apply_address_space(fp, mem, pt);
+  FunctionalEngine engine(&fp.program, &mem, &pt);
+  ASSERT_EQ(engine.run(100), cpu::StopReason::kHalted);
+  EXPECT_EQ(engine.committed(), 8u);
+  EXPECT_EQ(engine.reg(kZeroReg), 0u);
+  EXPECT_EQ(engine.reg(5), 0u);
+  EXPECT_EQ(engine.checkpoint().regs[kZeroReg], 0u);
+  expect_equal(engine_final_state(fp), detailed_final_state(fp),
+               "r0 writes");
+}
+
+/// A text spanning more than kMaxDenseSlots keeps a partial dense table
+/// and decodes the far instructions from the Program: the far code
+/// runs, and a hole or a misaligned pc past the table still ends the run
+/// with kFaultNoHandler.
+TEST(FusedDecoderTest, TextPastDenseTableRunsThroughFallbackDecode) {
+  const Addr far = kTinyText +
+                   (FunctionalEngine::kMaxDenseSlots + 16) * isa::kInstrBytes;
+  const auto far_program = [&](Addr exit_target) {
+    isa::ProgramBuilder b(kTinyText);
+    b.movi(1, 7);
+    b.jump("far");
+    b.label("back");
+    b.alu(isa::AluOp::kMul, 3, 1, 2);
+    b.jump_reg(4);
+    b.at(far);
+    b.label("far");
+    b.alui(isa::AluOp::kAdd, 1, 1, 1);  // r1 = 8
+    b.movi(2, 5);
+    b.movi(4, static_cast<std::int64_t>(exit_target));
+    b.call("sub");
+    b.jump("back");
+    b.label("sub");
+    b.alui(isa::AluOp::kShl, 2, 2, 1);  // r2 = 10
+    b.ret();
+    b.label("done");
+    b.halt();
+    return b;
+  };
+  const Addr done = far_program(0).label_addr("done");
+
+  const FuzzProgram ok = tiny_program(far_program(done).build());
+  const FinalState engine = engine_final_state(ok);
+  EXPECT_EQ(engine.stop, cpu::StopReason::kHalted);
+  EXPECT_EQ(engine.regs[3], 80u);
+  EXPECT_EQ(engine.regs[isa::kLinkReg], far + 4 * isa::kInstrBytes);
+  expect_equal(engine, detailed_final_state(ok), "far text");
+
+  for (const Addr bad : {done + isa::kInstrBytes, done + 2}) {
+    const FuzzProgram fp = tiny_program(far_program(bad).build());
+    const FinalState e = engine_final_state(fp);
+    EXPECT_EQ(e.stop, cpu::StopReason::kFaultNoHandler) << bad;
+    EXPECT_EQ(e.faults, 0u) << bad;
+    expect_equal(e, detailed_final_state(fp), "far exit " + std::to_string(bad));
+  }
+}
+
+/// An indirect branch to a misaligned pc inside the dense table ends the
+/// run with kFaultNoHandler, handler or not: no instruction lives there.
+TEST(FusedDecoderTest, MisalignedIndirectTargetStopsWithNoHandler) {
+  for (const bool handler : {false, true}) {
+    isa::ProgramBuilder b(kTinyText);
+    b.movi(1, 0);  // patched below to 2 bytes into "next"
+    b.jump_reg(1);
+    b.label("next");
+    b.nop();
+    b.label("handler");
+    b.halt();
+    const Addr misaligned = b.label_addr("next") + 2;
+    isa::Program program = b.build();
+    isa::Instruction movi = *program.at(kTinyText);
+    movi.imm = static_cast<std::int64_t>(misaligned);
+    program.place(kTinyText, movi, /*overwrite=*/true);
+    if (handler) program.set_fault_handler(b.label_addr("handler"));
+    const FuzzProgram fp = tiny_program(std::move(program));
+
+    const FinalState engine = engine_final_state(fp);
+    EXPECT_EQ(engine.stop, cpu::StopReason::kFaultNoHandler) << handler;
+    EXPECT_EQ(engine.committed, 2u) << handler;
+    expect_equal(engine, detailed_final_state(fp),
+                 handler ? "with handler" : "no handler");
+  }
 }
 
 }  // namespace

@@ -25,14 +25,20 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/cli.h"
 #include "experiment/experiment.h"
 #include "sim/functional.h"
+
+#ifndef SAFESPEC_BUILD_TYPE
+#define SAFESPEC_BUILD_TYPE "unknown"  // CMake defines it
+#endif
 
 namespace {
 
@@ -77,7 +83,9 @@ void usage(const char* prog, std::FILE* out) {
       "  --set=key=value  override one machine field on every cell's\n"
       "                   preset (repeatable; see MachineSpec::set) —\n"
       "                   e.g. --set=dib_lines=0 measures the\n"
-      "                   decoded-instruction buffer's host-side win\n"
+      "                   decoded-instruction buffer's host-side win;\n"
+      "                   sampling.* keys are rejected (the flags below\n"
+      "                   set the sampled schedules)\n"
       "  --ff-interval=N  sampled cells: functional instrs per gap\n"
       "                   (default: --instrs/10, ~10 windows per cell;\n"
       "                   sampled-fast always uses --instrs/2)\n"
@@ -138,6 +146,34 @@ CellResult measure(const CellName& name,
   return best;
 }
 
+/// The host fingerprint for the JSON artifact, as perfbench stamps its
+/// reports: a MIPS figure means little without the machine behind it.
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu = line.substr(colon + 1);
+      cpu.erase(0, cpu.find_first_not_of(' '));
+      break;
+    }
+  }
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  using safespec::experiment::json_escape;
+  return "{\"cpu\": \"" + json_escape(cpu) + "\", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" + json_escape(compiler) +
+         "\", \"build_type\": \"" + json_escape(SAFESPEC_BUILD_TYPE) +
+         "\"}";
+}
+
 double aggregate_mips(std::uint64_t total_instrs, double total_ms) {
   return total_ms <= 0.0 ? 0.0
                          : static_cast<double>(total_instrs) /
@@ -154,8 +190,9 @@ void write_json(const std::string& path, std::uint64_t instrs, int repeat,
   }
   std::fprintf(f,
                "{\n  \"instrs_per_cell\": %llu,\n  \"repeat\": %d,\n"
-               "  \"cells\": [\n",
-               static_cast<unsigned long long>(instrs), repeat);
+               "  \"host\": %s,\n  \"cells\": [\n",
+               static_cast<unsigned long long>(instrs), repeat,
+               host_json().c_str());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const CellName& c = results[i].cell;
     const safespec::sim::SimResult& r = results[i].result;
@@ -237,6 +274,16 @@ int main(int argc, char** argv) {
   try {
     experiment::check_instrs(instrs, "--instrs");
     sampling.validate();
+    // Each cell's mode decides its schedule, so a sampling.* override
+    // would be silently replaced.
+    for (const std::string& kv : overrides) {
+      if (kv.rfind("sampling.", 0) == 0) {
+        throw std::invalid_argument(
+            "--set=" + kv +
+            ": perf_driver sets the sampling schedule per cell mode; use "
+            "--ff-interval, --warmup and --detail");
+      }
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

@@ -153,18 +153,25 @@ SeedVerdict check_seed(std::uint64_t seed, const FuzzSpec& spec,
   cells.reserve(policies.size() * presets.size());
 
   for (const auto& preset : presets) {
+    // The preset's machine with the seed's address space, built once and
+    // copied for each policy.
+    sim::MachineBuilder preset_builder =
+        sim::MachineBuilder::from_preset(preset);
+    preset_builder.configure([&config](cpu::CoreConfig& c) {
+      c.mutation = config.mutation;
+      c.cores = config.cores;
+    });
+    for (const auto& region : fp.regions) {
+      preset_builder.map_region(region.base, region.bytes, region.perm);
+    }
+    for (const auto& poke : fp.pokes) {
+      preset_builder.poke(poke.addr, poke.value);
+    }
+
     for (const auto& policy : policies) {
       const std::string name = policy + "/" + preset;
-      sim::MachineBuilder builder =
-          sim::MachineBuilder::from_preset(preset);
-      builder.policy(policy).configure([&config](cpu::CoreConfig& c) {
-        c.mutation = config.mutation;
-        c.cores = config.cores;
-      });
-      for (const auto& region : fp.regions) {
-        builder.map_region(region.base, region.bytes, region.perm);
-      }
-      for (const auto& poke : fp.pokes) builder.poke(poke.addr, poke.value);
+      sim::MachineBuilder builder = preset_builder;
+      builder.policy(policy);
 
       const auto sim = builder.build(fp.program);
       const auto result =

@@ -1,6 +1,9 @@
 #include "fuzz/fuzz_spec.h"
 
+#include <algorithm>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 
 #include "common/json.h"
 #include "common/types.h"
@@ -79,15 +82,42 @@ std::string FuzzSpec::to_json() const {
   return out;
 }
 
+namespace {
+
+/// Throws when `obj` has a member not named in `known`, naming its dotted
+/// path: a misspelt key would otherwise leave its field at the default.
+void reject_unknown_keys(const json::Value& obj, const std::string& prefix,
+                         std::initializer_list<const char*> known) {
+  for (const auto& member : obj.object) {
+    const std::string& key = member.first;
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::invalid_argument("unknown fuzz-spec key \"" + prefix + key +
+                                  "\" (see FuzzSpec in src/fuzz/fuzz_spec.h)");
+    }
+  }
+}
+
+}  // namespace
+
 FuzzSpec FuzzSpec::from_json(const std::string& text) {
   const json::Value doc = json::parse(text);
   if (doc.kind != json::Value::Kind::kObject) {
     throw std::invalid_argument("fuzz spec must be a JSON object");
   }
+  reject_unknown_keys(doc, "",
+                      {"weights", "min_blocks", "max_blocks",
+                       "loop_iterations", "data_bytes", "kernel_bytes",
+                       "fault_frac", "install_fault_handler"});
   // Unlisted fields keep their defaults, so a spec file only needs the
   // deltas it cares about.
   FuzzSpec spec;
   if (const json::Value* w = doc.find("weights")) {
+    if (w->kind != json::Value::Kind::kObject) {
+      throw std::invalid_argument("weights must be a JSON object");
+    }
+    reject_unknown_keys(*w, "weights.",
+                        {"branch_heavy", "pointer_chase", "protected_window",
+                         "self_confusing", "mixed_compute", "mem_storm"});
     json::read_double(*w, "branch_heavy", spec.weights.branch_heavy);
     json::read_double(*w, "pointer_chase", spec.weights.pointer_chase);
     json::read_double(*w, "protected_window", spec.weights.protected_window);

@@ -35,7 +35,14 @@ std::vector<std::pair<Addr, std::uint64_t>> MainMemory::nonzero_words()
   words_.for_each([&out](Addr word, std::uint64_t value) {
     if (value != 0) out.emplace_back(word << 3, value);
   });
-  std::sort(out.begin(), out.end());
+  // The direct range arrives in ascending order; only the overflow tail,
+  // whose words all lie above it, needs sorting.
+  constexpr Addr kPagedBytes = PagedAddrMap<std::uint64_t>::kDirectKeys << 3;
+  const auto overflow = std::partition_point(
+      out.begin(), out.end(), [](const std::pair<Addr, std::uint64_t>& w) {
+        return w.first < kPagedBytes;
+      });
+  std::sort(overflow, out.end());
   return out;
 }
 

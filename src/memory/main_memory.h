@@ -61,7 +61,9 @@ class MainMemory {
   /// words are skipped because an explicitly written zero is
   /// indistinguishable from untouched zero-fill memory — exactly the
   /// equivalence the differential harness needs when comparing final
-  /// memory images across machines.
+  /// memory images across machines. Costs one pass over the written
+  /// words: the paged range is visited in address order, and only words
+  /// above it (past 32 GiB) are sorted.
   std::vector<std::pair<Addr, std::uint64_t>> nonzero_words() const;
 
  private:

@@ -11,9 +11,11 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -126,9 +128,11 @@ class ReplacementState {
 /// allocated on demand. Sets are grouped in blocks of kSetsPerBlock
 /// consecutive sets; a block is allocated, value-initialised, the first
 /// time one of its sets is filled, and is kept until the array is
-/// destroyed. Blocks stay small (a 16-way level's block is about 9 KB),
-/// so they are carved from the heap rather than mapped as fresh pages
-/// that fault on first touch, as one array per level would be.
+/// destroyed. A block is one heap allocation holding its ways, then their
+/// metadata, then its sets' Rngs, each array aligned for its type. Blocks
+/// stay small (a 16-way level's block is about 9 KB), so they are carved
+/// from the heap rather than mapped as fresh pages that fault on first
+/// touch, as one array per level would be.
 ///
 /// Each set's Rng is seeded `seed + set`, at the set's first draw (see
 /// ReplacementState), so every draw is the one an eagerly seeded array
@@ -190,12 +194,26 @@ class SetArray {
   }
 
  private:
+  using SetRng = std::optional<Rng>;
+  // The carved arrays are never destroyed one element at a time: freeing
+  // the block's buffer ends them.
+  static_assert(std::is_trivially_destructible_v<Way> &&
+                std::is_trivially_destructible_v<WayMeta> &&
+                std::is_trivially_destructible_v<SetRng>);
+  static_assert(std::max({alignof(Way), alignof(WayMeta), alignof(SetRng)}) <=
+                __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
   struct Block {
     std::size_t size = 0;  ///< ways in this block (0 until allocated)
-    std::unique_ptr<Way[]> ways;
-    std::unique_ptr<WayMeta[]> meta;
-    std::unique_ptr<std::optional<Rng>[]> rng;  ///< one per set
+    Way* ways = nullptr;
+    WayMeta* meta = nullptr;
+    SetRng* rng = nullptr;  ///< one per set
+    std::unique_ptr<std::byte[]> storage;  ///< owns all three arrays
   };
+
+  static std::size_t align_up(std::size_t offset, std::size_t align) {
+    return (offset + align - 1) / align * align;
+  }
 
   static std::size_t block_of(int set) {
     return static_cast<std::size_t>(set) / kSetsPerBlock;
@@ -217,10 +235,21 @@ class SetArray {
     const int sets = std::min(kSetsPerBlock, num_sets_ - first_set);
     b.size = static_cast<std::size_t>(sets) *
              static_cast<std::size_t>(num_ways_);
-    b.ways = std::make_unique<Way[]>(b.size);
-    b.meta = std::make_unique<WayMeta[]>(b.size);
-    b.rng = std::make_unique<std::optional<Rng>[]>(
-        static_cast<std::size_t>(sets));
+    const std::size_t meta_at =
+        align_up(b.size * sizeof(Way), alignof(WayMeta));
+    const std::size_t rng_at =
+        align_up(meta_at + b.size * sizeof(WayMeta), alignof(SetRng));
+    const std::size_t bytes =
+        rng_at + static_cast<std::size_t>(sets) * sizeof(SetRng);
+    b.storage.reset(new std::byte[bytes]);
+    std::byte* base = b.storage.get();
+    b.ways = reinterpret_cast<Way*>(base);
+    b.meta = reinterpret_cast<WayMeta*>(base + meta_at);
+    b.rng = reinterpret_cast<SetRng*>(base + rng_at);
+    std::uninitialized_value_construct_n(b.ways, b.size);
+    std::uninitialized_value_construct_n(b.meta, b.size);
+    std::uninitialized_value_construct_n(b.rng,
+                                         static_cast<std::size_t>(sets));
   }
 
   ReplPolicy policy_;

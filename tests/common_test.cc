@@ -2,6 +2,10 @@
 // counters, histograms/percentiles, and the geometric mean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "common/addr_map.h"
 #include "common/paged_addr_map.h"
 #include "common/rng.h"
@@ -343,6 +347,60 @@ TEST(PagedAddrMapProperty, MatchesAddrMapOnRandomStreams) {
   EXPECT_EQ(seen, reference.size());
 }
 
+/// Keys at the map's structural edges for a page of 2^PageBits keys: the
+/// first page, both sides of the first leaf boundary (pages 1023/1024),
+/// word page 16384 (where a fuzz kernel region's words live), and both
+/// sides of the overflow boundary.
+template <int PageBits>
+std::vector<Addr> boundary_keys() {
+  using Map = PagedAddrMap<std::uint64_t, PageBits>;
+  const auto page = [](Addr p) { return p << PageBits; };
+  return {0,
+          1,
+          63,
+          64,
+          page(1) - 1,
+          page(1023),
+          page(1024) - 1,
+          page(1024),
+          page(1024) + 65,
+          page(16384),
+          page(16384) + 4,
+          Map::kDirectKeys - 1,
+          Map::kDirectKeys,
+          Map::kDirectKeys + 1};
+}
+
+template <int PageBits>
+void check_boundary_keys() {
+  PagedAddrMap<std::uint64_t, PageBits> m;
+  const std::vector<Addr> keys = boundary_keys<PageBits>();
+  for (std::size_t i = 0; i < keys.size(); ++i) m[keys[i]] = 1000 + i;
+  EXPECT_EQ(m.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t* v = m.find(keys[i]);
+    ASSERT_NE(v, nullptr) << keys[i];
+    EXPECT_EQ(*v, 1000 + i) << keys[i];
+  }
+  // Neighbours of the set keys stay absent.
+  for (const Addr absent :
+       {Addr{2}, Addr{65}, (Addr{1023} << PageBits) + 1,
+        (Addr{1024} << PageBits) + 1, (Addr{16384} << PageBits) + 1,
+        Addr{16385} << PageBits, m.kDirectKeys - 2, m.kDirectKeys + 2}) {
+    EXPECT_EQ(m.find(absent), nullptr) << absent;
+  }
+  // for_each reports every key exactly once, in ascending order here
+  // (the overflow part holds two keys, reported after the direct range).
+  std::vector<Addr> seen;
+  m.for_each([&seen, &m](Addr k, std::uint64_t v) {
+    EXPECT_EQ(*m.find(k), v) << k;
+    seen.push_back(k);
+  });
+  ASSERT_EQ(seen.size(), keys.size());
+  std::sort(seen.end() - 2, seen.end());
+  EXPECT_EQ(seen, keys);
+}
+
 TEST(PagedAddrMapTest, DeepCopyIsIndependent) {
   PagedAddrMap<int> a;
   a[5] = 50;
@@ -354,6 +412,57 @@ TEST(PagedAddrMapTest, DeepCopyIsIndependent) {
   EXPECT_EQ(a.find(6), nullptr);
   EXPECT_EQ(*b.find(5), 99);
   EXPECT_EQ(*b.find(Addr{1} << 50), 51);
+
+  // Across leaves, and assigned over a map that already holds keys.
+  const std::vector<Addr> keys = boundary_keys<12>();
+  PagedAddrMap<std::uint64_t> c;
+  for (const Addr k : keys) c[k] = k + 1;
+  PagedAddrMap<std::uint64_t> d;
+  d[Addr{5} << 12] = 7;
+  d = c;
+  EXPECT_EQ(d.size(), keys.size());
+  EXPECT_EQ(d.find(Addr{5} << 12), nullptr);
+  for (const Addr k : keys) {
+    d[k] = 0;
+    ASSERT_NE(c.find(k), nullptr) << k;
+    EXPECT_EQ(*c.find(k), k + 1) << k;
+  }
+  c[Addr{16384} << 12 | 9] = 3;  // a new key in a leaf both maps hold
+  EXPECT_EQ(d.find(Addr{16384} << 12 | 9), nullptr);
+  EXPECT_EQ(d.size(), keys.size());
+}
+
+TEST(PagedAddrMapTest, KeysAtLeafAndOverflowBoundaries) {
+  check_boundary_keys<12>();  // memory words, permissions, program text
+  check_boundary_keys<9>();   // page-table translations
+}
+
+TEST(PagedAddrMapTest, ForEachIsAscendingOverTheDirectRange) {
+  Rng rng(19);
+  PagedAddrMap<std::uint64_t> m;
+  std::set<Addr> direct;
+  std::set<Addr> overflow;
+  for (int i = 0; i < 5000; ++i) {
+    Addr key;
+    switch (rng.below(4)) {
+      case 0: key = rng.below(3 << 12); break;  // dense, page-straddling
+      case 1: key = (Addr{1024} << 12) - 64 + rng.below(128); break;
+      case 2: key = rng.below(64) << 26 | rng.below(256); break;  // sparse
+      default: key = m.kDirectKeys + rng.below(Addr{1} << 40); break;
+    }
+    m[key] = key ^ 0x5a;
+    (key < m.kDirectKeys ? direct : overflow).insert(key);
+  }
+  std::vector<Addr> seen;
+  m.for_each([&seen](Addr k, std::uint64_t v) {
+    EXPECT_EQ(v, k ^ 0x5a);
+    seen.push_back(k);
+  });
+  ASSERT_EQ(seen.size(), direct.size() + overflow.size());
+  const auto split = seen.begin() + static_cast<std::ptrdiff_t>(direct.size());
+  EXPECT_EQ(std::vector<Addr>(seen.begin(), split),
+            std::vector<Addr>(direct.begin(), direct.end()));
+  EXPECT_EQ(std::set<Addr>(split, seen.end()), overflow);
 }
 
 TEST(PagedAddrMapTest, ClearDropsEverything) {

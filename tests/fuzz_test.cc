@@ -429,6 +429,27 @@ TEST(FuzzSpecTest, RejectsNonsense) {
   EXPECT_THROW(all_zero.validate(), std::invalid_argument);
 }
 
+// A misspelt key must be refused, naming its dotted path, rather than
+// leave its field at the default.
+TEST(FuzzSpecTest, RejectsUnknownKeysByPath) {
+  const auto message = [](const std::string& text) -> std::string {
+    try {
+      FuzzSpec::from_json(text);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  EXPECT_NE(message("{\"min_blokcs\": 3}").find("\"min_blokcs\""),
+            std::string::npos);
+  EXPECT_NE(message("{\"weights\": {\"branch_hevy\": 2}}")
+                .find("\"weights.branch_hevy\""),
+            std::string::npos);
+  EXPECT_NE(message("{\"weights\": 2}").find("weights"), std::string::npos);
+  EXPECT_EQ(message("{\"min_blocks\": 3, \"weights\": {\"mem_storm\": 2}}"),
+            "accepted");
+}
+
 // ---- differential harness -------------------------------------------------
 
 TEST(DifferentialTest, SeedRangePassesAllInvariants) {

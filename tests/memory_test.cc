@@ -3,6 +3,12 @@
 // hierarchy behaviour, TLB, and the page table / walker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "memory/cache.h"
 #include "memory/cache_hierarchy.h"
 #include "memory/main_memory.h"
@@ -41,6 +47,41 @@ TEST(MainMemory, PermissionChecks) {
   EXPECT_FALSE(mem.access_ok(2, PrivLevel::kUser));
   EXPECT_TRUE(mem.access_ok(2, PrivLevel::kKernel));
   EXPECT_FALSE(mem.access_ok(3, PrivLevel::kKernel));  // unmapped
+}
+
+TEST(MainMemory, NonzeroWordsMatchASortedReference) {
+  // Random writes over a dense region, the kernel region at 512 MiB, and
+  // words past the paged range (which live in the hash overflow), with
+  // zeros among the values: the snapshot must hold exactly the words
+  // whose last write was nonzero, in address order.
+  Rng rng(404);
+  MainMemory mem;
+  std::map<Addr, std::uint64_t> reference;
+  for (int i = 0; i < 20000; ++i) {
+    Addr addr;
+    switch (rng.below(4)) {
+      case 0: addr = 0x10000 + rng.below(0x20000); break;
+      case 1: addr = 0x20000000 + rng.below(0x2000); break;
+      case 2: addr = rng.below(64) << 29 | rng.below(0x1000); break;
+      default: addr = (Addr{1} << 35) + rng.below(Addr{1} << 40); break;
+    }
+    const std::uint64_t value = rng.chance(0.3) ? 0 : rng.next();
+    mem.write64(addr, value);
+    reference[addr & ~Addr{7}] = value;
+  }
+  std::vector<std::pair<Addr, std::uint64_t>> expected;
+  for (const auto& [addr, value] : reference) {
+    if (value != 0) expected.emplace_back(addr, value);
+  }
+  ASSERT_GT(std::count_if(expected.begin(), expected.end(),
+                          [](const auto& w) { return w.first >> 35 != 0; }),
+            100);
+  EXPECT_EQ(mem.nonzero_words(), expected);
+  // A copy snapshots the same image and stays independent.
+  MainMemory copy = mem;
+  copy.write64(0x10000, 0xabc);
+  EXPECT_EQ(mem.nonzero_words(), expected);
+  EXPECT_EQ(copy.read64(0x10000), 0xabcu);
 }
 
 // ---- Cache -----------------------------------------------------------------
@@ -407,6 +448,50 @@ TEST(SetStorage, TlbRandomVictimsFollowTheSameRules) {
   const auto after = fill_set(ab, 3, 12);
   EXPECT_NE(after, a_first);
   EXPECT_EQ(after, (std::vector<Addr>{195, 131, 323, 3, 67, 387, 259, 579}));
+}
+
+TEST(SetStorage, ShortLastBlockHoldsEveryWay) {
+  // 20 sets: one full block of 16 and a short block of 4. Each set's
+  // ways, metadata and Rng must be its own, in both blocks.
+  SetArray<BareWay> sets(ReplPolicy::kLru, 20, 4, /*seed=*/1);
+  EXPECT_EQ(sets.occupancy(), 0u);
+  EXPECT_EQ(sets.find(19), nullptr);
+  for (int set = 19; set >= 0; --set) {
+    ReplacementState repl = sets.replacement(set);
+    for (int w = 0; w < 4; ++w) {
+      sets.ways(set)[w].valid = true;
+      repl.fill(w, /*tick=*/static_cast<std::uint64_t>(100 * set + w),
+                /*owner=*/set);
+    }
+  }
+  EXPECT_EQ(sets.occupancy(), 80u);
+  for (int set = 0; set < 20; ++set) {
+    ASSERT_NE(sets.find(set), nullptr) << set;
+    for (int w = 0; w < 4; ++w) EXPECT_EQ(sets.owner_of(set, w), set);
+    sets.replacement(set).touch(0, /*tick=*/10000);
+    EXPECT_EQ(sets.replacement(set).victim(10001), 1) << set;
+  }
+  sets.ways(18)[2].valid = false;
+  EXPECT_EQ(sets.occupancy(), 79u);
+  sets.flush_all();
+  EXPECT_EQ(sets.occupancy(), 0u);
+  EXPECT_EQ(sets.owner_of(19, 3), 19);  // replacement state is kept
+}
+
+TEST(SetStorage, RandomDrawsFollowEachSetsSeedInAnyLayout) {
+  // Odd geometry (5 sets of 3 one-byte ways) puts the metadata and Rng
+  // arrays at padded offsets in the block. Each set's draws must still
+  // be those of an Rng seeded `seed + set`, interleaved or not.
+  SetArray<BareWay> sets(ReplPolicy::kRandom, 5, 3, /*seed=*/90);
+  std::vector<Rng> expected;
+  for (int set = 0; set < 5; ++set) expected.emplace_back(90 + set);
+  for (int round = 0; round < 20; ++round) {
+    for (int set = 4; set >= 0; --set) {
+      const auto want = static_cast<int>(
+          expected[static_cast<std::size_t>(set)].below(3));
+      EXPECT_EQ(sets.replacement(set).victim(0), want) << set;
+    }
+  }
 }
 
 TEST(Cache, SharpForcedEvictionsAlarmAndCrossThreshold) {
